@@ -38,6 +38,9 @@ from .oracle import accuracy_compressed, accuracy_pixel
 
 REPORT_SCHEMA = "runblock-report/1"
 
+# exception -> exit code; OSError covers unreadable and unwritable paths
+EXIT_CODES = {ValidationError: 2, FormatError: 3, ConsistencyError: 4, OSError: 2}
+
 
 def _read_bytes(path: str) -> bytes:
     return Path(path).read_bytes()
@@ -47,15 +50,21 @@ def _sniff(data: bytes) -> str:
     if data[:2] in (b"P1", b"P4"):
         return "pbm"
     if data[: len(RLC_MAGIC)] == RLC_MAGIC.encode():
-        return "rlc"
+        return "rlc1"
     raise FormatError("unrecognized input format (expected PBM P1/P4 or RLC1)")
 
 
-def _load_doc(path: str) -> CompressedDoc:
+def _load_doc(path: str, spec: BlockSpec | None = None) -> tuple[str, CompressedDoc]:
+    """Load a PBM or RLC1 file as a document; returns (format, document).
+
+    With `spec`, the block is checked against the header's dimensions before
+    the body is parsed.
+    """
     data = _read_bytes(path)
-    if _sniff(data) == "pbm":
-        return encode_image(read_pbm(data))
-    return read_rle(data)
+    kind = _sniff(data)
+    if spec is not None:
+        spec.validate_for(*(pbm_header(data) if kind == "pbm" else rle_header(data)))
+    return kind, encode_image(read_pbm(data)) if kind == "pbm" else read_rle(data)
 
 
 def _load_grid(path: str):
@@ -122,13 +131,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    data = _read_bytes(args.input)
     spec = _block_spec(args)
-    kind = _sniff(data)
-    # reject bad coordinates on header dimensions alone, before the body parse
-    width, height = pbm_header(data) if kind == "pbm" else rle_header(data)
-    spec.validate_for(width, height)
-    doc = encode_image(read_pbm(data)) if kind == "pbm" else read_rle(data)
+    _, doc = _load_doc(args.input, spec)
     block, table, stats = extract_block_detailed(doc, spec)
     if args.decode_output:
         Path(args.output).write_bytes(write_pbm(decode_image(block)))
@@ -171,7 +175,7 @@ def _report_fields(report) -> dict:
 
 
 def cmd_characterize(args) -> int:
-    block = _load_doc(args.input)
+    _, block = _load_doc(args.input)
     doc = None
     spec = None
     relative_wanted = args.doc is not None
@@ -179,7 +183,7 @@ def cmd_characterize(args) -> int:
         coords = (args.x1, args.x2, args.y1, args.y2)
         if any(c is None for c in coords):
             raise ValidationError("relative mode needs --doc together with --x1/--x2/--y1/--y2")
-        doc = _load_doc(args.doc)
+        _, doc = _load_doc(args.doc)
         spec = _block_spec(args)
     result: Characterization = characterize(
         block, doc=doc, spec=spec, log_base=LOG_BASES[args.log_base]
@@ -217,7 +221,7 @@ def cmd_characterize(args) -> int:
 def _evaluate_pair(extracted: str, truth: str, mode: str):
     if mode == "pixel":
         return accuracy_pixel(_load_grid(extracted), _load_grid(truth))
-    return accuracy_compressed(_load_doc(extracted), _load_doc(truth))
+    return accuracy_compressed(_load_doc(extracted)[1], _load_doc(truth)[1])
 
 
 def cmd_evaluate(args) -> int:
@@ -267,12 +271,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_info(args) -> int:
-    data = _read_bytes(args.input)
-    kind = _sniff(data)
-    doc = encode_image(read_pbm(data)) if kind == "pbm" else read_rle(data)
+    kind, doc = _load_doc(args.input)
     foreground = sum(sum(row[1::2]) for row in doc.rows)
     payload = {
-        "format": "pbm" if kind == "pbm" else "rlc1",
+        "format": kind,
         "width": doc.width,
         "height": doc.height,
         "total_runs": doc.total_runs(),
@@ -371,18 +373,9 @@ def main(argv=None) -> int:
     args._t0 = time.monotonic()
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"runblock: error: {exc}", file=sys.stderr)
-        return 2
-    except FormatError as exc:
-        print(f"runblock: error: {exc}", file=sys.stderr)
-        return 3
-    except ConsistencyError as exc:
-        print(f"runblock: error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"runblock: error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -7,8 +7,14 @@ parity rule "odd run index = background, even run index = foreground"
 (1-indexed) holds for every row.
 
 Canonical form: apart from that optional leading zero, every run has length
->= 1. All functions here produce canonical rows; `CompressedDoc` rejects
-anything else at construction time.
+>= 1. All functions here produce canonical rows.
+
+Validation happens once, where rows enter the package. `CompressedDoc(...)`
+checks the dimensions and every row, and rejects anything else. Internal
+producers whose rows are valid by construction (`read_rle`, which checks the
+rows as it parses them, `encode_image`, `extract_block_detailed` and
+`mh_decode_image`) build documents with `CompressedDoc._trusted`, which skips
+that second check.
 """
 
 from __future__ import annotations
@@ -121,6 +127,17 @@ class CompressedDoc:
                 )
 
     @classmethod
+    def _trusted(cls, width: int, height: int, rows: tuple[RunRow, ...]) -> "CompressedDoc":
+        """Build a document without checking it. Only for producers that
+        guarantee what `__post_init__` checks: dimensions in range, `height`
+        rows, each a canonical tuple of ints summing to `width`."""
+        doc = object.__new__(cls)
+        object.__setattr__(doc, "width", width)
+        object.__setattr__(doc, "height", height)
+        object.__setattr__(doc, "rows", rows)
+        return doc
+
+    @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "CompressedDoc":
         """Build a document from run rows, inferring width and height."""
         rows = tuple(tuple(r) for r in rows)
@@ -143,9 +160,14 @@ def encode_image(grid) -> CompressedDoc:
         raise ValidationError("grid must be a rectangular 2-D array of 0/1 pixels")
     if arr.size == 0:
         raise ValidationError("grid must contain at least one pixel")
-    if not ((arr == 0) | (arr == 1)).all():
+    # for unsigned and boolean pixels the maximum decides, without the three
+    # page-sized temporaries of the general test
+    binary = arr.max() <= 1 if arr.dtype.kind in "bu" else ((arr == 0) | (arr == 1)).all()
+    if not binary:
         raise ValidationError("grid contains pixel values other than 0 and 1")
     height, width = arr.shape
+    if max(height, width) > MAX_DIM:
+        raise ValidationError(f"grid of {height} x {width} pixels exceeds {MAX_DIM} per side")
     arr = arr.astype(np.uint8, copy=False)
     rows = []
     for row in arr:
@@ -155,7 +177,7 @@ def encode_image(grid) -> CompressedDoc:
         if row[0]:
             runs.insert(0, 0)
         rows.append(tuple(runs))
-    return CompressedDoc(width=width, height=height, rows=tuple(rows))
+    return CompressedDoc._trusted(width, height, tuple(rows))
 
 
 def decode_image(doc: CompressedDoc) -> np.ndarray:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import CompressedDoc, RunRow, canonicalize_row
+from .core import CompressedDoc, RunRow
 from .errors import ConsistencyError, ValidationError
 
 
@@ -173,6 +173,10 @@ def trim_row(row: Sequence[int], rec: BoundaryRecord, width: int | None = None) 
     end_residue pixels. A zero-length background run is prepended when the
     start run is foreground so the output stays background-first.
 
+    For a canonical `row` the output is canonical by construction: the first
+    and last runs are at least 1 by the residue checks, the interior runs are
+    copied from the row, and the leading zero appears exactly when p1 is even.
+
     `width`, when given, is the expected block width; a mismatch means the
     record does not belong to this row.
     """
@@ -186,14 +190,11 @@ def trim_row(row: Sequence[int], rec: BoundaryRecord, width: int | None = None) 
     if p1 == p2:
         if r1 <= r2:
             raise ConsistencyError(f"single-run record with start residue {r1} <= end residue {r2}")
-        runs = [r1 - r2]
+        out = (r1 - r2,)
     else:
-        runs = [r1]
-        runs.extend(row[p1:p2 - 1])
-        runs.append(row[p2 - 1] - r2)
+        out = (r1, *row[p1:p2 - 1], row[p2 - 1] - r2)
     if p1 % 2 == 0:  # start boundary lies inside a foreground run
-        runs.insert(0, 0)
-    out = canonicalize_row(runs)
+        out = (0, *out)
     if width is not None and sum(out) != width:
         raise ConsistencyError(
             f"trimmed row sums to {sum(out)}, expected block width {width}"
@@ -217,7 +218,7 @@ def extract_block_detailed(
         stats.rows += 1
         stats.runs_visited += visited
         stats.runs_emitted += len(trimmed)
-    block = CompressedDoc(width=spec.width, height=spec.height, rows=tuple(rows))
+    block = CompressedDoc._trusted(spec.width, spec.height, tuple(rows))
     return block, table, stats
 
 

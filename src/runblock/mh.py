@@ -249,4 +249,4 @@ def mh_decode_image(
     tail = bits[pos:]
     if len(tail) >= 8 or tail.strip("0"):
         raise FormatError(f"trailing data after the last row at bit {pos}")
-    return CompressedDoc(width=width, height=height, rows=tuple(rows))
+    return CompressedDoc._trusted(width, height, tuple(rows))

@@ -141,6 +141,22 @@ class TestExtract:
         assert code == 2
         assert "x2" in err
 
+    def test_zero_padded_dimension_line(self, tmp_path, capsys):
+        # a dimension line past the first 64 bytes, which the header probe must reach
+        page = b"4 2\n4\n0 4\n"
+        plain, padded = tmp_path / "plain.rlc", tmp_path / "padded.rlc"
+        plain.write_bytes(b"RLC1\n" + page)
+        padded.write_bytes(b"RLC1\n" + b"0" * 70 + page)
+        blocks = []
+        for source in (plain, padded):
+            out = tmp_path / f"{source.stem}.block.rlc"
+            code, _, err = run(
+                capsys, "extract", source, out, "--x1", 1, "--x2", 2, "--y1", 2, "--y2", 4,
+            )
+            assert (code, err) == (0, "")
+            blocks.append(out.read_bytes())
+        assert blocks[0] == blocks[1] == b"RLC1\n3 2\n3\n0 3\n"
+
     def test_decode_output_writes_pbm(self, worked_doc, tmp_path, capsys):
         out = tmp_path / "block.pbm"
         code, _, _ = run(
@@ -283,6 +299,14 @@ class TestInfo:
         assert code == 0
         assert report["format"] == "pbm"
         assert report["foreground_pixels"] == 2
+
+    def test_huge_plain_pbm_exits_3_before_allocating(self, tmp_path, capsys):
+        # 200000 x 200000 pixels declared in 19 bytes
+        pbm = tmp_path / "huge.pbm"
+        pbm.write_bytes(b"P1\n200000 200000\n0\n")
+        code, stdout, err = run(capsys, "info", pbm)
+        assert (code, stdout) == (3, "")
+        assert err == "runblock: error: P1 raster is 3 bytes, too short for 40000000000 pixels\n"
 
     def test_unknown_format_exits_3(self, tmp_path, capsys):
         junk = tmp_path / "junk.bin"

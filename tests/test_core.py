@@ -139,6 +139,19 @@ class TestImageCodec:
         with pytest.raises(ValidationError):
             encode_image([[0, 2]])
 
+    def test_bad_values_rejected_for_each_dtype(self):
+        for grid in (
+            np.array([[0, 2]], dtype=np.uint8),
+            np.array([[255, 0]], dtype=np.uint8),
+            np.array([[0, -1]]),
+            np.array([[0.5, 1.0]]),
+        ):
+            with pytest.raises(ValidationError):
+                encode_image(grid)
+
+    def test_boolean_grid_accepted(self):
+        assert encode_image(np.array([[True, False]])).rows == ((0, 1, 1),)
+
     def test_round_trip_random_grids(self):
         rng = np.random.default_rng(1234)
         for _ in range(100):

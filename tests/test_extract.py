@@ -14,6 +14,7 @@ from runblock import (
     encode_image,
     extract_block,
     extract_block_detailed,
+    is_canonical,
     locate_end,
     locate_start,
     oracle_crop,
@@ -225,6 +226,11 @@ def test_all_specs_on_small_docs():
                         assert np.array_equal(
                             decode_image(block), grid[x1 - 1 : x2, y1 - 1 : y2]
                         )
+                        # blocks skip CompressedDoc's checks, so check here
+                        assert all(
+                            is_canonical(row) and sum(row) == block.width
+                            for row in block.rows
+                        )
 
 
 @settings(max_examples=200, deadline=None)
@@ -248,7 +254,9 @@ def test_extraction_equals_crop_small(data):
     y2 = data.draw(st.integers(y1, width))
     spec = BlockSpec(x1, x2, y1, y2)
     doc = encode_image(grid)
-    assert np.array_equal(decode_image(extract_block(doc, spec)), oracle_crop(grid, spec))
+    block = extract_block(doc, spec)
+    assert np.array_equal(decode_image(block), oracle_crop(grid, spec))
+    assert all(is_canonical(row) and sum(row) == block.width for row in block.rows)
 
 
 def test_bad_spec_construction():

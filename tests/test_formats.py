@@ -6,13 +6,59 @@ from runblock import (
     FormatError,
     decode_image,
     encode_image,
+    is_canonical,
     read_pbm,
     read_rle,
     write_pbm,
     write_rle,
 )
+from runblock.formats import rle_header
 
-from helpers import random_doc, random_grid
+from helpers import random_doc, random_grid, text_like_doc
+
+
+def reference_read_rle(data: bytes) -> CompressedDoc:
+    """RLC1 reader written as one loop over the rows: the reference that
+    `read_rle`'s results and diagnostics must match."""
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"RLC1 file is not ASCII: {exc}") from None
+    if not text.endswith("\n"):
+        raise FormatError("RLC1 file must end with a newline")
+    lines = text[:-1].split("\n")
+    if lines[0] != "RLC1":
+        raise FormatError(f"not an RLC1 file (first line {lines[0]!r})")
+    if len(lines) < 2:
+        raise FormatError("missing RLC1 dimension line")
+    dims = lines[1].split(" ")
+    if len(dims) != 2 or not all(d.isdigit() for d in dims):
+        raise FormatError(f"bad RLC1 dimension line {lines[1]!r}")
+    width, height = int(dims[0]), int(dims[1])
+    if not 1 <= width <= 2**31 - 1 or not 1 <= height <= 2**31 - 1:
+        raise FormatError(f"bad RLC1 dimensions {width} x {height}")
+    body = lines[2:]
+    if len(body) != height:
+        raise FormatError(f"got {len(body)} run rows, expected {height}")
+    rows = []
+    for number, line in enumerate(body, 1):
+        tokens = line.split(" ")
+        if any(not t.isdigit() for t in tokens):
+            raise FormatError(f"row {number}: non-numeric run token in {line!r}")
+        runs = tuple(int(t) for t in tokens)
+        if sum(runs) != width:
+            raise FormatError(f"row {number}: runs sum to {sum(runs)}, expected width {width}")
+        if not is_canonical(runs):
+            raise FormatError(f"row {number}: runs are not canonical: {line!r}")
+        rows.append(runs)
+    return CompressedDoc(width=width, height=height, rows=tuple(rows))
+
+
+def outcome(reader, data: bytes):
+    try:
+        return reader(data)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
 
 
 class TestReadPbm:
@@ -66,6 +112,11 @@ class TestReadPbm:
     def test_zero_dimension_rejected(self):
         with pytest.raises(FormatError):
             read_pbm(b"P1\n0 1\n\n")
+
+    def test_plain_raster_larger_than_file_rejected_before_allocation(self):
+        # 4e10 pixels declared in 19 bytes; each P1 pixel needs a byte
+        with pytest.raises(FormatError, match="P1 raster is 3 bytes, too short for 40000000000 pixels"):
+            read_pbm(b"P1\n200000 200000\n0\n")
 
 
 class TestWritePbm:
@@ -121,9 +172,9 @@ class TestRle:
             read_rle(b"RLC1\n8 1\n-4 12\n")
 
     def test_header_probe(self):
-        from runblock.formats import rle_header
-
         assert rle_header(b"RLC1\n8 2\n8\n8\n") == (8, 2)
+        # a dimension line that ends past the first 64 bytes
+        assert rle_header(b"RLC1\n" + b"0" * 70 + b"8 2\n8\n8\n") == (8, 2)
         with pytest.raises(FormatError):
             rle_header(b"RLC1\n8\n8\n")
         with pytest.raises(FormatError):
@@ -136,6 +187,102 @@ class TestRle:
             data = write_rle(doc)
             assert read_rle(data) == doc
             assert write_rle(read_rle(data)) == data
+
+
+    def test_header_probe_agrees_with_reader(self):
+        for data in (b"RLC1\n", b"RLC1\n\n", b"RLC1\n8 x\n", b"RLC2\n8 1\n8\n", b"RLC1\n0 1\n8\n"):
+            with pytest.raises(FormatError) as probe:
+                rle_header(data)
+            with pytest.raises(FormatError) as reader:
+                read_rle(data)
+            assert str(probe.value) == str(reader.value)
+
+    def test_dimensions_beyond_int_digit_limit(self):
+        assert rle_header(b"RLC1\n" + b"0" * 5000 + b"8 1\n") == (8, 1)
+        with pytest.raises(FormatError, match="bad RLC1 dimensions 9{5000} x 1"):
+            rle_header(b"RLC1\n" + b"9" * 5000 + b" 1\n")
+
+    def test_zero_padded_run_beyond_int_digit_limit(self):
+        doc = read_rle(b"RLC1\n8 1\n" + b"0" * 5000 + b"8\n")
+        assert doc.rows == ((8,),)
+
+    def test_run_beyond_int_digit_limit(self):
+        with pytest.raises(FormatError, match=r"^row 1: runs sum to a number of over \d+ digits, expected width 8$"):
+            read_rle(b"RLC1\n8 1\n" + b"9" * 5000 + b"\n")
+
+    def test_saturated_runs_cannot_wrap_to_the_width(self):
+        # as int64, the two overlong runs saturate and the row sum wraps to 8
+        with pytest.raises(FormatError, match=r"^row 1: runs sum to 200000000000000000008, expected width 8$"):
+            read_rle(b"RLC1\n8 1\n99999999999999999999 99999999999999999999 10\n")
+
+    def test_rows_are_tuples_of_python_ints(self):
+        doc = read_rle(b"RLC1\n8 2\n4 4\n0 3 5\n")
+        assert doc.rows == ((4, 4), (0, 3, 5))
+        for row in doc.rows:
+            assert type(row) is tuple
+            assert all(type(r) is int for r in row)
+
+    def test_page_scale_read_matches_reference(self):
+        doc = text_like_doc(np.random.default_rng(34), 700, 900)
+        data = write_rle(doc)
+        assert read_rle(data) == reference_read_rle(data) == doc
+
+
+# One malformed row per case; row 1 is good, so the number is the bad row's.
+MALFORMED_ROWS = [
+    ("empty line", b"", "row 2: non-numeric run token in ''"),
+    ("double space", b"4  4", "row 2: non-numeric run token in '4  4'"),
+    ("leading space", b" 4 4", "row 2: non-numeric run token in ' 4 4'"),
+    ("trailing space", b"4 4 ", "row 2: non-numeric run token in '4 4 '"),
+    ("plus sign", b"+4 4", "row 2: non-numeric run token in '+4 4'"),
+    ("underscore", b"4_0", "row 2: non-numeric run token in '4_0'"),
+    ("tab", b"4\t4", "row 2: non-numeric run token in '4\\t4'"),
+    ("carriage return", b"4 4\r", "row 2: non-numeric run token in '4 4\\r'"),
+    ("minus sign", b"-4 12", "row 2: non-numeric run token in '-4 12'"),
+    ("non-canonical", b"4 0 4", "row 2: runs are not canonical: '4 0 4'"),
+    ("trailing zero", b"8 0", "row 2: runs are not canonical: '8 0'"),
+    ("bad sum", b"3 3", "row 2: runs sum to 6, expected width 8"),
+    ("run above width", b"9", "row 2: runs sum to 9, expected width 8"),
+]
+
+
+@pytest.mark.parametrize("row, message", [case[1:] for case in MALFORMED_ROWS],
+                         ids=[case[0] for case in MALFORMED_ROWS])
+def test_malformed_row_message(row, message):
+    data = b"RLC1\n8 3\n0 8\n" + row + b"\n4 4\n"
+    with pytest.raises(FormatError) as exc:
+        read_rle(data)
+    assert str(exc.value) == message
+    assert outcome(reference_read_rle, data) == f"FormatError: {message}"
+
+
+def test_first_bad_row_wins_across_checks_and_chunks():
+    rows = [b"8"] * 600
+    rows[300] = b"3 3"  # bad sum in a later chunk ...
+    rows[450] = b"4\t4"  # ... before a bad character, which the text check sees first
+    data = b"RLC1\n8 600\n" + b"\n".join(rows) + b"\n"
+    with pytest.raises(FormatError, match=r"^row 301: runs sum to 6, expected width 8$"):
+        read_rle(data)
+
+
+def test_mutated_files_match_reference():
+    """Results and diagnostics equal the one-loop reader's on damaged files."""
+    rng = np.random.default_rng(35)
+    alphabet = b"0123456789  \n\n0\t-+x\r\xff"
+    for _ in range(400):
+        data = bytearray(write_rle(random_doc(rng, 1, 12)))
+        body = data.index(b"\n", 5) + 1  # header damage has tests of its own
+        for _ in range(int(rng.integers(1, 4))):
+            pos = int(rng.integers(body, len(data)))
+            kind = rng.integers(0, 3)
+            if kind == 0:
+                data[pos] = alphabet[int(rng.integers(0, len(alphabet)))]
+            elif kind == 1:
+                data.insert(pos, alphabet[int(rng.integers(0, len(alphabet)))])
+            elif len(data) > body + 1:
+                del data[pos]
+        data = bytes(data)
+        assert outcome(read_rle, data) == outcome(reference_read_rle, data), data
 
 
 def test_pipeline_pbm_rle_pbm_is_identity():
