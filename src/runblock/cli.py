@@ -355,7 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("extracted", help="extracted block (file or directory)")
     p.add_argument("truth", help="ground truth (file or directory)")
     p.add_argument("--mode", choices=("pixel", "compressed"), required=True)
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for directory evaluation")
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker threads for directory evaluation; they overlap file reads, not "
+        "computation, which holds the interpreter lock, so --jobs 2 can be slower than 1",
+    )
     p.add_argument("--json", action="store_true", help="print a JSON report")
     p.set_defaults(func=cmd_evaluate)
 

@@ -7,8 +7,19 @@ codes (multiples of 64, color-specific up to 1728, shared "extended" codes
 up to 2560) followed by a terminating code. Runs longer than 2623 are
 handled by repeating the 2560 make-up code.
 
-At the row level, bits travel as strings of '0'/'1'. At the image level
-they are packed into bytes MSB-first with two framing options:
+Codewords travel as integers. The encoder looks up the (code, bit count)
+pair of each codeword and packs the pairs into an integer, from which it
+moves whole bytes out as it grows. The decoder first computes, for every
+bit position of the stream, the 13 bits that start there (zero past the
+end), then reads each codeword with one lookup of that window in a
+per-color table of 8192 entries, which gives the code length, the run
+value and whether the code ends the run. The codes are prefix-free, so the
+zero-padded window names exactly the codeword a bit-by-bit search would
+find. `mh_encode_row` and `mh_decode_row` keep a '0'/'1' string interface
+over the same code.
+
+At the image level bits are packed into bytes MSB-first with two framing
+options:
 
 * ``eol=True``: every row is preceded by the 12-bit end-of-line code
   (eleven zeros and a one); with ``byte_align`` zero fill is inserted so
@@ -24,6 +35,8 @@ and premature stream ends all raise FormatError with a bit offset.
 from __future__ import annotations
 
 from typing import Sequence
+
+import numpy as np
 
 from .core import MAX_DIM, CompressedDoc, RunRow, canonicalize_row, is_canonical
 from .errors import FormatError, ValidationError
@@ -90,135 +103,227 @@ _WHITE_MAKEUP_ALL = {**WHITE_MAKEUP, **EXTENDED_MAKEUP}
 _BLACK_MAKEUP_ALL = {**BLACK_MAKEUP, **EXTENDED_MAKEUP}
 
 
-def _build_decode_table(terminating, makeup):
-    table = {}
-    for value, code in enumerate(terminating):
-        table[code] = (True, value)
-    for value, code in makeup.items():
-        table[code] = (False, value)
+def _int_code(code: str) -> tuple[int, int]:
+    return int(code, 2), len(code)
+
+
+# (code, bit count) pairs for the encoder
+_WHITE_CODES = [_int_code(c) for c in WHITE_TERMINATING]
+_BLACK_CODES = [_int_code(c) for c in BLACK_TERMINATING]
+_WHITE_MAKEUP_CODES = {run: _int_code(c) for run, c in _WHITE_MAKEUP_ALL.items()}
+_BLACK_MAKEUP_CODES = {run: _int_code(c) for run, c in _BLACK_MAKEUP_ALL.items()}
+
+# The encoder moves whole bytes out of its integer accumulator once it holds
+# more bits than this, so that shifting the accumulator costs the same at
+# any row width.
+_FLUSH_BITS = 1024
+
+
+def _run_code(length: int, white: bool) -> tuple[int, int]:
+    """(code, bit count) of the codewords for one run of the given color."""
+    if length < 0:
+        raise ValidationError(f"negative run length {length}")
+    repeats = max(0, -(-(length - MAX_SINGLE_RUN) // MAX_MAKEUP))
+    length -= repeats * MAX_MAKEUP
+    code, n = (_WHITE_CODES if white else _BLACK_CODES)[length % 64]
+    if length >= 64:
+        head, bits = (_WHITE_MAKEUP_CODES if white else _BLACK_MAKEUP_CODES)[length - length % 64]
+        code, n = head << n | code, bits + n
+    if repeats:
+        # built from a string: shifting the code in one make-up code at a
+        # time would take time quadratic in the run length
+        longest = EXTENDED_MAKEUP[MAX_MAKEUP]
+        code, n = int(longest * repeats, 2) << n | code, len(longest) * repeats + n
+    return code, n
+
+
+def _flush(out: bytearray, acc: int, nbits: int) -> tuple[int, int]:
+    """Move the whole bytes of the `nbits` low bits of `acc` to `out`."""
+    keep = nbits % 8
+    out += (acc >> keep).to_bytes(nbits // 8, "big")
+    return acc & (1 << keep) - 1, keep
+
+
+def _put_row(out: bytearray, acc: int, nbits: int, row: Sequence[int]) -> tuple[int, int]:
+    """Append one row's codewords to the bit stream held in `out` and in the
+    `nbits` low bits of `acc`; returns the new (acc, nbits)."""
+    codes, other = _WHITE_CODES, _BLACK_CODES
+    for length in row:
+        if 0 <= length < 64:
+            code, n = codes[length]
+        else:
+            code, n = _run_code(length, codes is _WHITE_CODES)
+        acc = acc << n | code
+        nbits += n
+        if nbits > _FLUSH_BITS:
+            acc, nbits = _flush(out, acc, nbits)
+        codes, other = other, codes
+    return acc, nbits
+
+
+def _bit_string(code: int, nbits: int) -> str:
+    return f"{code:0{nbits}b}" if nbits else ""
+
+
+def _encode_run(length: int, white: bool) -> str:
+    """Codeword sequence for one run of the given color."""
+    return _bit_string(*_run_code(length, white))
+
+
+# Bits in a decoder window: the longest codeword (black make-up codes of
+# 13 bits). A window starting at an end-of-line code reads 12 bits of it.
+_PEEK = 13
+
+
+# A window that starts no codeword decodes to a code longer than any stream
+# has bits left, so one bounds test covers both a miss and a code cut off by
+# the end of the stream.
+_NO_CODE = (1 << 62, 0, False)
+
+
+def _build_decode_table(terminating, makeup) -> list[tuple[int, int, bool]]:
+    """(code length, run value, is terminating) for every 13-bit window."""
+    table = [_NO_CODE] * (1 << _PEEK)
+    codes = [(code, value, True) for value, code in enumerate(terminating)]
+    codes += [(code, value, False) for value, code in makeup.items()]
+    for code, value, terminating_code in codes:
+        span = 1 << (_PEEK - len(code))
+        start = int(code, 2) * span
+        table[start : start + span] = [(len(code), value, terminating_code)] * span
     return table
 
 
 _WHITE_DECODE = _build_decode_table(WHITE_TERMINATING, _WHITE_MAKEUP_ALL)
 _BLACK_DECODE = _build_decode_table(BLACK_TERMINATING, _BLACK_MAKEUP_ALL)
-_MIN_CODE = 2
-_MAX_CODE = 13
 
 
-def _encode_run(length: int, white: bool) -> str:
-    """Codeword sequence for one run of the given color."""
-    if length < 0:
-        raise ValidationError(f"negative run length {length}")
-    terminating = WHITE_TERMINATING if white else BLACK_TERMINATING
-    makeup = _WHITE_MAKEUP_ALL if white else _BLACK_MAKEUP_ALL
-    parts = []
-    while length > MAX_SINGLE_RUN:
-        parts.append(makeup[MAX_MAKEUP])
-        length -= MAX_MAKEUP
-    if length >= 64:
-        parts.append(makeup[(length // 64) * 64])
-        length %= 64
-    parts.append(terminating[length])
-    return "".join(parts)
+def _windows(data: bytes) -> memoryview:
+    """The _PEEK bits that start at each bit position of `data`, MSB first
+    and zero past its end, with one more all-zero window at the end position.
+
+    Two bytes per bit, as an unsigned 16-bit buffer: indexing it gives plain
+    ints without a Python object per bit."""
+    n = len(data)
+    b = np.zeros(n + 2, dtype=np.uint32)
+    b[:n] = np.frombuffer(data, dtype=np.uint8)
+    words = b[:-2] << 16 | b[1:-1] << 8 | b[2:]  # the 24 bits from each byte on
+    win = np.zeros(8 * n + 1, dtype=np.uint16)
+    lanes = win[: 8 * n].reshape(n, 8)
+    for shift in range(8):
+        lanes[:, shift] = words >> (24 - _PEEK - shift) & (1 << _PEEK) - 1
+    return memoryview(win)
 
 
-def _decode_run(bits: str, pos: int, white: bool) -> tuple[int, int]:
+def _bit_string_windows(bits: str) -> memoryview:
+    if not set(bits) <= {"0", "1"}:
+        raise ValidationError("a bit string holds only '0' and '1'")
+    padded = bits + "0" * (-len(bits) % 8)
+    return _windows(int(padded or "0", 2).to_bytes(len(padded) // 8, "big"))
+
+
+def _codeword_error(win, nbits: int, pos: int, white: bool) -> FormatError:
+    """Why no codeword of the given color fits at `pos`."""
+    if nbits - pos >= len(EOL) and win[pos] >> (_PEEK - len(EOL)) == 1:
+        return FormatError(f"unexpected end-of-line code at bit {pos}")
+    color = "white" if white else "black"
+    if nbits - pos < _PEEK:
+        return FormatError(f"bit stream ended inside a {color} run at bit {pos}")
+    return FormatError(f"invalid {color} codeword at bit {pos}")
+
+
+def _run_at(win, nbits: int, pos: int, white: bool) -> tuple[int, int]:
     """Decode one run (make-up codes plus terminating code) at `pos`.
 
-    Returns (run length, new position).
-    """
+    Returns (run length, new position)."""
     table = _WHITE_DECODE if white else _BLACK_DECODE
-    color = "white" if white else "black"
     total = 0
     while True:
-        limit = min(_MAX_CODE, len(bits) - pos)
-        match = None
-        for n in range(_MIN_CODE, limit + 1):
-            match = table.get(bits[pos : pos + n])
-            if match is not None:
-                pos += n
-                break
-        if match is None:
-            if len(bits) - pos >= len(EOL) and bits[pos : pos + len(EOL)] == EOL:
-                raise FormatError(f"unexpected end-of-line code at bit {pos}")
-            if len(bits) - pos < _MAX_CODE:
-                raise FormatError(f"bit stream ended inside a {color} run at bit {pos}")
-            raise FormatError(f"invalid {color} codeword at bit {pos}")
-        is_terminating, value = match
+        n, value, terminating = table[win[pos]]
+        if pos + n > nbits:
+            raise _codeword_error(win, nbits, pos, white)
+        pos += n
         total += value
-        if is_terminating:
+        if terminating:
             return total, pos
 
 
-def _decode_row_at(bits: str, width: int, pos: int) -> tuple[RunRow, int]:
+def _decode_run(bits: str, pos: int, white: bool) -> tuple[int, int]:
+    """Decode one run (make-up codes plus terminating code) of a '0'/'1'
+    string at `pos`.
+
+    Returns (run length, new position).
+    """
+    return _run_at(_bit_string_windows(bits), len(bits), pos, white)
+
+
+def _decode_row_at(win, nbits: int, width: int, pos: int) -> tuple[RunRow, int]:
     runs = []
     total = 0
-    white = True
+    table, other = _WHITE_DECODE, _BLACK_DECODE
     while total < width:
-        length, pos = _decode_run(bits, pos, white)
+        n, length, terminating = table[win[pos]]
+        if terminating and pos + n <= nbits:
+            pos += n  # the common case: one terminating code
+        else:
+            length, pos = _run_at(win, nbits, pos, table is _WHITE_DECODE)
         runs.append(length)
         total += length
-        if total > width:
-            raise FormatError(f"runs overrun the declared width {width} ({total} pixels)")
-        white = not white
-    # foreign encoders may split very long runs with zero-length terminators;
-    # normalizing keeps the background-first canonical form
-    return canonicalize_row(runs), pos
+        table, other = other, table
+    if total > width:
+        raise FormatError(f"runs overrun the declared width {width} ({total} pixels)")
+    if 0 in runs[1:]:
+        # foreign encoders may split very long runs with zero-length
+        # terminators; normalizing keeps the background-first canonical form
+        return canonicalize_row(runs), pos
+    return tuple(runs), pos
 
 
 def mh_encode_row(row: Sequence[int]) -> str:
     """Encode one canonical run row as a '0'/'1' codeword string."""
     if not is_canonical(row):
         raise ValidationError(f"run row is not canonical: {list(row)}")
-    return "".join(_encode_run(length, white=(i % 2 == 0)) for i, length in enumerate(row))
+    out = bytearray()
+    acc, nbits = _put_row(out, 0, 0, row)
+    return _bit_string(int.from_bytes(out, "big"), 8 * len(out)) + _bit_string(acc, nbits)
 
 
 def mh_decode_row(bits: str, width: int) -> RunRow:
     """Decode a single row's codewords; all bits must be consumed."""
-    row, pos = _decode_row_at(bits, width, 0)
+    row, pos = _decode_row_at(_bit_string_windows(bits), len(bits), width, 0)
     if pos != len(bits):
         raise FormatError(f"{len(bits) - pos} unconsumed bits after the row")
     return row
 
 
-def _pack_bits(bits: str) -> bytes:
-    return bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
-
-
-def _unpack_bits(data: bytes) -> str:
-    return "".join(f"{b:08b}" for b in data)
-
-
 def mh_encode_image(doc: CompressedDoc, *, eol: bool, byte_align: bool = False) -> bytes:
     """Encode a whole document under the chosen framing (see module docs)."""
-    chunks = []
-    length = 0
+    out = bytearray()
+    # the stream is `out`, which holds whole bytes, then the `nbits` low
+    # bits of `acc`; so `nbits` modulo 8 is the stream's, which sets the fill
+    acc = nbits = 0
     for row in doc.rows:
         if eol:
-            if byte_align:
-                fill = -(length + len(EOL)) % 8
-                chunks.append("0" * fill)
-                length += fill
-            chunks.append(EOL)
-            length += len(EOL)
-        row_bits = mh_encode_row(row)
-        chunks.append(row_bits)
-        length += len(row_bits)
+            fill = -(nbits + len(EOL)) % 8 if byte_align else 0
+            acc = acc << (fill + len(EOL)) | 1  # EOL: eleven zeros and a one
+            nbits += fill + len(EOL)
+        acc, nbits = _put_row(out, acc, nbits, row)
         if not eol and byte_align:
-            fill = -length % 8
-            chunks.append("0" * fill)
-            length += fill
-    chunks.append("0" * (-length % 8))
-    return _pack_bits("".join(chunks))
+            fill = -nbits % 8
+            acc <<= fill
+            nbits += fill
+    pad = -nbits % 8
+    _flush(out, acc << pad, nbits + pad)
+    return bytes(out)
 
 
-def _expect_eol(bits: str, pos: int, row_number: int) -> int:
+def _expect_eol(win, nbits: int, pos: int, row_number: int) -> int:
     """Consume optional zero fill plus one end-of-line code."""
     p = pos
-    while p < len(bits) and bits[p] == "0":
-        p += 1
-    if p >= len(bits):
+    while p < nbits and not win[p]:
+        p += _PEEK
+    if p >= nbits:
         raise FormatError(f"stream ended while seeking the end-of-line code of row {row_number}")
+    p += _PEEK - win[p].bit_length()  # the first one bit
     if p - pos < len(EOL) - 1:
         raise FormatError(f"missing end-of-line code before row {row_number} (bit {pos})")
     return p + 1
@@ -230,23 +335,23 @@ def mh_decode_image(
     """Decode `height` rows of `width` pixels from packed bytes."""
     if not 1 <= width <= MAX_DIM or not 1 <= height <= MAX_DIM:
         raise ValidationError(f"bad dimensions {width} x {height}")
-    bits = _unpack_bits(data)
+    win = _windows(data)
+    nbits = 8 * len(data)
     pos = 0
     rows = []
     for number in range(1, height + 1):
         if eol:
-            pos = _expect_eol(bits, pos, number)
+            pos = _expect_eol(win, nbits, pos, number)
         elif byte_align and pos % 8:
             fill = 8 - pos % 8
-            if bits[pos : pos + fill].strip("0"):
+            if win[pos] >> (_PEEK - fill):
                 raise FormatError(f"nonzero padding bits before row {number}")
             pos += fill
         try:
-            row, pos = _decode_row_at(bits, width, pos)
+            row, pos = _decode_row_at(win, nbits, width, pos)
         except FormatError as exc:
             raise FormatError(f"row {number}: {exc}") from None
         rows.append(row)
-    tail = bits[pos:]
-    if len(tail) >= 8 or tail.strip("0"):
+    if nbits - pos >= 8 or win[pos]:
         raise FormatError(f"trailing data after the last row at bit {pos}")
     return CompressedDoc._trusted(width, height, tuple(rows))

@@ -59,3 +59,22 @@ def random_spec(rng: np.random.Generator, doc: CompressedDoc) -> BlockSpec:
     y1 = int(rng.integers(1, doc.width + 1))
     y2 = int(rng.integers(y1, doc.width + 1))
     return BlockSpec(x1=x1, x2=x2, y1=y1, y2=y2)
+
+
+def letter_like_doc(rng: np.random.Generator, height: int, width: int = 1728) -> CompressedDoc:
+    """Rows in T.4 fax geometry: blank rows, and text rows between white
+    margins of 120 pixels or more, so that both take make-up codes."""
+    rows = []
+    for _ in range(height):
+        if rng.random() < 0.4:
+            rows.append((width,))
+            continue
+        left, right = int(rng.integers(150, 260)), int(rng.integers(120, 200))
+        middle = text_like_row(rng, width - left - right)
+        runs = [left] + list(middle[1:]) if middle[0] == 0 else [left + middle[0], *middle[1:]]
+        if len(runs) % 2:
+            runs[-1] += right  # the row already ends white
+        else:
+            runs.append(right)
+        rows.append(tuple(runs))
+    return CompressedDoc(width=width, height=height, rows=tuple(rows))

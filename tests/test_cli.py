@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from runblock import (
     CompressedDoc,
@@ -84,6 +90,50 @@ class TestEncodeDecode:
         )
         assert code == 0
         assert np.array_equal(read_pbm(out.read_bytes()), decode_image(doc))
+
+    FUZZ_DOC = text_like_doc(np.random.default_rng(52), 12, 200)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        eol=st.booleans(),
+        byte_align=st.booleans(),
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(["flip", "truncate", "append"]),
+                st.integers(0, 2**16),
+                st.binary(min_size=1, max_size=4),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_decode_mutated_fax_exits_0_or_3(self, eol, byte_align, edits):
+        """Flipped bits, truncation and appended bytes end in a parse error
+        or a clean decode, never in a traceback."""
+        doc = self.FUZZ_DOC
+        data = bytearray(mh_encode_image(doc, eol=eol, byte_align=byte_align))
+        for kind, where, extra in edits:
+            if kind == "flip" and data:
+                bit = where % (8 * len(data))
+                data[bit // 8] ^= 0x80 >> bit % 8
+            elif kind == "truncate":
+                del data[where % (len(data) + 1) :]
+            elif kind == "append":
+                data += extra
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            raw = Path(tmp) / "page.g3"
+            raw.write_bytes(data)
+            argv = [
+                "decode", str(raw), str(Path(tmp) / "page.pbm"),
+                "--width", str(doc.width), "--height", str(doc.height),
+                "--eol", "required" if eol else "forbidden",
+            ] + (["--byte-align"] if byte_align else [])
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+        assert code in (0, 3)
+        assert "Traceback" not in err.getvalue()
+        assert code == 0 or err.getvalue().startswith("runblock: error: ")
 
     def test_corrupt_rlc_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.rlc"

@@ -5,11 +5,13 @@ from runblock import (
     CompressedDoc,
     FormatError,
     ValidationError,
+    encode_image,
     mh_decode_image,
     mh_decode_row,
     mh_encode_image,
     mh_encode_row,
 )
+from runblock.core import canonicalize_row, is_canonical
 from runblock.mh import (
     BLACK_MAKEUP,
     BLACK_TERMINATING,
@@ -21,7 +23,158 @@ from runblock.mh import (
     _encode_run,
 )
 
-from helpers import text_like_doc, text_like_row
+from helpers import letter_like_doc, random_grid, text_like_doc, text_like_row
+
+FRAMINGS = [(True, True), (True, False), (False, True), (False, False)]
+FRAMING_IDS = ["eol-aligned", "eol", "bare-aligned", "bare"]
+
+
+# The codec as it was written on '0'/'1' strings: one dict probe per prefix
+# length when decoding, string joins when encoding. It is the reference that
+# the integer codec's bytes, documents and diagnostics must match.
+
+_REF_WHITE_MAKEUP = {**WHITE_MAKEUP, **EXTENDED_MAKEUP}
+_REF_BLACK_MAKEUP = {**BLACK_MAKEUP, **EXTENDED_MAKEUP}
+
+
+def ref_codewords(length: int, white: bool) -> list[str]:
+    if length < 0:
+        raise ValidationError(f"negative run length {length}")
+    terminating = WHITE_TERMINATING if white else BLACK_TERMINATING
+    makeup = _REF_WHITE_MAKEUP if white else _REF_BLACK_MAKEUP
+    parts = []
+    while length > 2623:
+        parts.append(makeup[2560])
+        length -= 2560
+    if length >= 64:
+        parts.append(makeup[(length // 64) * 64])
+        length %= 64
+    parts.append(terminating[length])
+    return parts
+
+
+def ref_row_codewords(row) -> list[str]:
+    if not is_canonical(row):
+        raise ValidationError(f"run row is not canonical: {list(row)}")
+    return [code for i, length in enumerate(row) for code in ref_codewords(length, i % 2 == 0)]
+
+
+def ref_frame(rows: list[list[str]], eol: bool, byte_align: bool) -> list[str]:
+    """The framed stream of the given rows' codewords, as chunks: each fill,
+    end-of-line code and codeword is one chunk, the final pad the last."""
+    chunks = []
+    length = 0
+    for codewords in rows:
+        if eol:
+            if byte_align:
+                fill = -(length + len(EOL)) % 8
+                chunks.append("0" * fill)
+                length += fill
+            chunks.append(EOL)
+            length += len(EOL)
+        chunks += codewords
+        length += sum(map(len, codewords))
+        if not eol and byte_align:
+            fill = -length % 8
+            chunks.append("0" * fill)
+            length += fill
+    chunks.append("0" * (-length % 8))
+    return chunks
+
+
+def pack(bits: str) -> bytes:
+    bits += "0" * (-len(bits) % 8)
+    return bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
+
+
+def ref_encode_image(doc, eol: bool, byte_align: bool) -> bytes:
+    return pack("".join(ref_frame([ref_row_codewords(r) for r in doc.rows], eol, byte_align)))
+
+
+def _ref_decode_table(terminating, makeup):
+    table = {code: (True, value) for value, code in enumerate(terminating)}
+    table.update((code, (False, value)) for value, code in makeup.items())
+    return table
+
+
+_REF_WHITE_DECODE = _ref_decode_table(WHITE_TERMINATING, _REF_WHITE_MAKEUP)
+_REF_BLACK_DECODE = _ref_decode_table(BLACK_TERMINATING, _REF_BLACK_MAKEUP)
+
+
+def ref_decode_run(bits: str, pos: int, white: bool) -> tuple[int, int]:
+    table = _REF_WHITE_DECODE if white else _REF_BLACK_DECODE
+    color = "white" if white else "black"
+    total = 0
+    while True:
+        match = None
+        for n in range(2, min(13, len(bits) - pos) + 1):
+            match = table.get(bits[pos : pos + n])
+            if match is not None:
+                pos += n
+                break
+        if match is None:
+            if len(bits) - pos >= len(EOL) and bits[pos : pos + len(EOL)] == EOL:
+                raise FormatError(f"unexpected end-of-line code at bit {pos}")
+            if len(bits) - pos < 13:
+                raise FormatError(f"bit stream ended inside a {color} run at bit {pos}")
+            raise FormatError(f"invalid {color} codeword at bit {pos}")
+        is_terminating, value = match
+        total += value
+        if is_terminating:
+            return total, pos
+
+
+def ref_decode_row_at(bits: str, width: int, pos: int):
+    runs = []
+    total = 0
+    white = True
+    while total < width:
+        length, pos = ref_decode_run(bits, pos, white)
+        runs.append(length)
+        total += length
+        if total > width:
+            raise FormatError(f"runs overrun the declared width {width} ({total} pixels)")
+        white = not white
+    return canonicalize_row(runs), pos
+
+
+def ref_decode_image(data: bytes, width: int, height: int, *, eol: bool, byte_align: bool = False):
+    if not 1 <= width <= 2**31 - 1 or not 1 <= height <= 2**31 - 1:
+        raise ValidationError(f"bad dimensions {width} x {height}")
+    bits = "".join(f"{b:08b}" for b in data)
+    pos = 0
+    rows = []
+    for number in range(1, height + 1):
+        if eol:
+            p = pos
+            while p < len(bits) and bits[p] == "0":
+                p += 1
+            if p >= len(bits):
+                raise FormatError(f"stream ended while seeking the end-of-line code of row {number}")
+            if p - pos < len(EOL) - 1:
+                raise FormatError(f"missing end-of-line code before row {number} (bit {pos})")
+            pos = p + 1
+        elif byte_align and pos % 8:
+            fill = 8 - pos % 8
+            if bits[pos : pos + fill].strip("0"):
+                raise FormatError(f"nonzero padding bits before row {number}")
+            pos += fill
+        try:
+            row, pos = ref_decode_row_at(bits, width, pos)
+        except FormatError as exc:
+            raise FormatError(f"row {number}: {exc}") from None
+        rows.append(row)
+    tail = bits[pos:]
+    if len(tail) >= 8 or tail.strip("0"):
+        raise FormatError(f"trailing data after the last row at bit {pos}")
+    return CompressedDoc(width, height, tuple(rows))
+
+
+def outcome(decoder, data: bytes, width: int, height: int, eol: bool, byte_align: bool):
+    try:
+        return decoder(data, width, height, eol=eol, byte_align=byte_align)
+    except (FormatError, ValidationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 class TestCodeTables:
@@ -170,3 +323,243 @@ class TestImageCodec:
         # final pad -> 40 bits
         assert len(data_eol) == 5
         assert mh_decode_image(data_eol, 5, 2, eol=True, byte_align=True) == doc
+
+
+def test_bit_string_must_be_binary():
+    with pytest.raises(ValidationError, match="only '0' and '1'"):
+        mh_decode_row("1011 ", 4)
+
+
+@pytest.fixture(scope="module")
+def a4_doc():
+    """A text page at A4 size and 300 dpi, about 163 runs per row."""
+    return text_like_doc(np.random.default_rng(1), 3508, 2480)
+
+
+@pytest.fixture(scope="module")
+def letter_doc():
+    """A page in T.4 fax geometry whose rows take make-up codes."""
+    return letter_like_doc(np.random.default_rng(2), 1143)
+
+
+def criterion_6_corpus():
+    """The documents and rows of acceptance criterion 6, drawn the same way."""
+    rng = np.random.default_rng(0xC6)
+    docs = [
+        encode_image(random_grid(rng, int(rng.integers(1, 65)), int(rng.integers(1, 65)), rng.uniform(0, 1)))
+        for _ in range(500)
+    ]
+    rows = [(length,) for length in range(1, 2601)] + [(0, length) for length in range(1, 2601)]
+    for _ in range(1000):
+        rows.append(text_like_row(rng, int(rng.integers(1, 600))))
+    return docs, rows
+
+
+LONG_RUN_DOC = CompressedDoc.from_rows(
+    [(9000,), (0, 9000), (3000, 3000, 3000), (2623, 2624, 3753), (1, 8998, 1)]
+)
+
+
+class TestEncodeMatchesReference:
+    def test_criterion_6_corpus(self):
+        docs, rows = criterion_6_corpus()
+        for doc in docs:
+            for eol, byte_align in FRAMINGS:
+                assert mh_encode_image(doc, eol=eol, byte_align=byte_align) == ref_encode_image(doc, eol, byte_align)
+        for row in rows:
+            assert mh_encode_row(row) == "".join(ref_row_codewords(row))
+        for white in (True, False):
+            for length in list(range(0, 2601)) + [2623, 2624, 5183, 5184, 9000]:
+                assert _encode_run(length, white) == "".join(ref_codewords(length, white))
+
+    @pytest.mark.parametrize("page", ["a4_doc", "letter_doc"])
+    def test_pages(self, page, request):
+        doc = request.getfixturevalue(page)
+        codewords = [ref_row_codewords(row) for row in doc.rows]
+        for eol, byte_align in FRAMINGS:
+            expected = pack("".join(ref_frame(codewords, eol, byte_align)))
+            assert mh_encode_image(doc, eol=eol, byte_align=byte_align) == expected
+        for row, codes in zip(doc.rows, codewords):
+            assert mh_encode_row(row) == "".join(codes)
+
+    def test_repeated_2560_makeup_codes(self):
+        for eol, byte_align in FRAMINGS:
+            data = mh_encode_image(LONG_RUN_DOC, eol=eol, byte_align=byte_align)
+            assert data == ref_encode_image(LONG_RUN_DOC, eol, byte_align)
+            assert mh_decode_image(data, 9000, 5, eol=eol, byte_align=byte_align) == LONG_RUN_DOC
+            assert ref_decode_image(data, 9000, 5, eol=eol, byte_align=byte_align) == LONG_RUN_DOC
+
+    def test_negative_leading_run_rejected(self):
+        # is_canonical lets a negative leading run through; the run coder does not
+        doc = CompressedDoc.from_rows([(-1, 5)])
+        with pytest.raises(ValidationError, match="negative run length -1"):
+            mh_encode_image(doc, eol=False)
+        with pytest.raises(ValidationError, match="negative run length -1"):
+            mh_encode_row((-1, 5))
+
+
+def mutated_streams(rng, doc, eol, byte_align):
+    """(data, width, height) cases around one valid stream: the stream itself,
+    wrong dimensions, bit flips, truncations at random bytes, at codeword
+    boundaries and one bit inside codewords, and appended bytes."""
+    chunks = ref_frame([ref_row_codewords(r) for r in doc.rows], eol, byte_align)
+    bits = "".join(chunks)
+    data = pack(bits)
+    w, h = doc.width, doc.height
+    yield data, w, h
+    yield data, w, h + 1
+    yield data, w + 1, h
+    yield data, max(w - 1, 1), h
+    for _ in range(4):
+        flipped = bytearray(data)
+        for _ in range(int(rng.integers(1, 4))):
+            p = int(rng.integers(0, len(bits)))
+            flipped[p // 8] ^= 0x80 >> p % 8
+        yield bytes(flipped), w, h
+    yield data[: int(rng.integers(0, len(data)))], w, h
+    ends = np.cumsum([len(c) for c in chunks])
+    codewords = [i for i, c in enumerate(chunks) if len(c) > 1 and "1" in c]
+    for i in rng.choice(codewords, size=min(3, len(codewords)), replace=False):
+        end = int(ends[i])
+        start = end - len(chunks[i])
+        yield pack(bits[:end]), w, h
+        yield pack(bits[: start + 1]), w, h
+        yield pack(bits[: end - 1]), w, h
+    yield data + rng.integers(0, 256, int(rng.integers(1, 4)), dtype=np.uint8).tobytes(), w, h
+    yield data + b"\x80", w, h
+
+
+def small_mh_doc(rng):
+    kind = rng.integers(0, 3)
+    if kind == 0:
+        return text_like_doc(rng, int(rng.integers(1, 7)), int(rng.integers(1, 121)))
+    if kind == 1:
+        return letter_like_doc(rng, int(rng.integers(1, 4)))
+    return encode_image(random_grid(rng, int(rng.integers(1, 7)), int(rng.integers(1, 90))))
+
+
+class TestDecodeMatchesReference:
+    @pytest.mark.parametrize("page", ["a4_doc", "letter_doc"])
+    def test_pages_round_trip(self, page, request):
+        doc = request.getfixturevalue(page)
+        for eol, byte_align in FRAMINGS:
+            data = mh_encode_image(doc, eol=eol, byte_align=byte_align)
+            assert mh_decode_image(data, doc.width, doc.height, eol=eol, byte_align=byte_align) == doc
+
+    def test_letter_page_matches_reference(self, letter_doc):
+        doc = letter_doc
+        data = mh_encode_image(doc, eol=False)
+        assert ref_decode_image(data, doc.width, doc.height, eol=False) == doc
+
+    @pytest.mark.parametrize("eol,byte_align", FRAMINGS, ids=FRAMING_IDS)
+    def test_mutated_streams(self, eol, byte_align):
+        rng = np.random.default_rng([42, eol, byte_align])
+        seen = []
+        for _ in range(40):
+            doc = small_mh_doc(rng)
+            for data, w, h in mutated_streams(rng, doc, eol, byte_align):
+                got = outcome(mh_decode_image, data, w, h, eol, byte_align)
+                assert got == outcome(ref_decode_image, data, w, h, eol, byte_align), (data, w, h)
+                seen.append(got)
+        # the corpus reaches every diagnosis the decoder gives in this framing
+        kinds = [
+            "invalid white codeword", "invalid black codeword", "ended inside a white run",
+            "ended inside a black run", "overrun the declared width", "trailing data",
+        ]
+        if eol:
+            kinds += ["unexpected end-of-line code", "missing end-of-line code", "while seeking"]
+        elif byte_align:
+            kinds += ["nonzero padding bits"]
+        for kind in kinds:
+            assert any(isinstance(s, str) and kind in s for s in seen), kind
+        assert any(isinstance(s, CompressedDoc) for s in seen)
+
+    @pytest.mark.parametrize("eol,byte_align", FRAMINGS, ids=FRAMING_IDS)
+    def test_stream_ends_where_a_row_needs_a_code(self, eol, byte_align):
+        # white-4 is 1011, so two rows fill whole bytes in the bare framings
+        # and the third row starts exactly at the end of the stream
+        doc = CompressedDoc.from_rows([(4,), (4,)])
+        data = mh_encode_image(doc, eol=eol, byte_align=byte_align)
+        if eol:
+            expected = "FormatError: stream ended while seeking the end-of-line code of row 3"
+        else:
+            expected = f"FormatError: row 3: bit stream ended inside a white run at bit {8 * len(data)}"
+        assert outcome(mh_decode_image, data, 4, 3, eol, byte_align) == expected
+        assert outcome(ref_decode_image, data, 4, 3, eol, byte_align) == expected
+
+    def test_stream_ends_right_after_an_eol(self):
+        data = pack("0000" + EOL)  # fill and end-of-line code fill two bytes
+        expected = "FormatError: row 1: bit stream ended inside a white run at bit 16"
+        assert outcome(mh_decode_image, data, 4, 1, True, True) == expected
+        assert outcome(ref_decode_image, data, 4, 1, True, True) == expected
+
+    @pytest.mark.parametrize(
+        "codes,width,row",
+        [
+            ([WHITE_TERMINATING[10], BLACK_TERMINATING[0], WHITE_TERMINATING[5]], 15, (15,)),
+            ([WHITE_TERMINATING[0], BLACK_TERMINATING[5], WHITE_TERMINATING[0], BLACK_TERMINATING[3]], 8, (0, 8)),
+            ([WHITE_TERMINATING[0], BLACK_TERMINATING[0], WHITE_TERMINATING[5]], 5, (5,)),
+            ([WHITE_MAKEUP[64], WHITE_TERMINATING[0], BLACK_TERMINATING[0], WHITE_TERMINATING[6],
+              BLACK_TERMINATING[2]], 72, (70, 2)),
+            ([EXTENDED_MAKEUP[2560], WHITE_TERMINATING[0], BLACK_TERMINATING[0], EXTENDED_MAKEUP[2560],
+              WHITE_TERMINATING[3], BLACK_TERMINATING[1]], 5124, (5123, 1)),
+        ],
+    )
+    def test_interior_zero_terminators_canonicalize(self, codes, width, row):
+        # foreign encoders write such rows; the decoder merges the runs
+        assert mh_decode_row("".join(codes), width) == row
+        for eol, byte_align in FRAMINGS:
+            data = pack("".join(ref_frame([codes, codes], eol, byte_align)))
+            got = mh_decode_image(data, width, 2, eol=eol, byte_align=byte_align)
+            assert got == ref_decode_image(data, width, 2, eol=eol, byte_align=byte_align)
+            assert got.rows == (row, row)
+
+    @pytest.mark.parametrize(
+        "bits,height,eol,byte_align,message",
+        [
+            # a one in the pad after row 1 (white-1 is six bits)
+            (WHITE_TERMINATING[1] + "01" + WHITE_TERMINATING[1] + "00", 2, False, True,
+             "nonzero padding bits before row 2"),
+            # a one in the fill before the second end-of-line code
+            ("0000" + EOL + WHITE_TERMINATING[1] + "01" + EOL + WHITE_TERMINATING[1] + "00", 2, True, True,
+             "missing end-of-line code before row 2 (bit 22)"),
+            (WHITE_TERMINATING[1] + "00", 1, True, False, "missing end-of-line code before row 1 (bit 0)"),
+            (WHITE_TERMINATING[1] + "01", 1, False, False, "trailing data after the last row at bit 6"),
+            (WHITE_TERMINATING[1] + "00" + "00000000", 1, False, False,
+             "trailing data after the last row at bit 6"),
+            (EOL + WHITE_TERMINATING[1] + "000000" + "00000000", 1, True, False,
+             "trailing data after the last row at bit 18"),
+        ],
+    )
+    def test_framing_faults(self, bits, height, eol, byte_align, message):
+        data = pack(bits)
+        expected = f"FormatError: {message}"
+        assert outcome(mh_decode_image, data, 1, height, eol, byte_align) == expected
+        assert outcome(ref_decode_image, data, 1, height, eol, byte_align) == expected
+
+    def test_exactly_one_trailing_zero_byte(self):
+        # two rows of white-4 (1011) fill one byte, and the zero byte after it is data
+        data = pack(WHITE_TERMINATING[4] * 2 + "0" * 8)
+        expected = "FormatError: trailing data after the last row at bit 8"
+        assert outcome(mh_decode_image, data, 4, 2, False, False) == expected
+        assert outcome(ref_decode_image, data, 4, 2, False, False) == expected
+
+    @pytest.mark.parametrize(
+        "bits,message",
+        [
+            ("0" * 13, "invalid white codeword at bit 0"),
+            ("0" * 12, "bit stream ended inside a white run at bit 0"),
+            (EOL, "unexpected end-of-line code at bit 0"),
+            (WHITE_TERMINATING[4] + EOL[:-1], "bit stream ended inside a black run at bit 4"),
+            (WHITE_TERMINATING[4] + "0" * 13, "invalid black codeword at bit 4"),
+            (WHITE_TERMINATING[4] + BLACK_MAKEUP[512], "bit stream ended inside a black run at bit 17"),
+            (WHITE_TERMINATING[4] + BLACK_MAKEUP[512][:-1], "bit stream ended inside a black run at bit 4"),
+        ],
+    )
+    def test_codeword_diagnoses_near_the_stream_end(self, bits, message):
+        with pytest.raises(FormatError) as exc:
+            mh_decode_row(bits, 4000)
+        assert str(exc.value) == message
+        with pytest.raises(FormatError) as exc:
+            ref_decode_row_at(bits, 4000, 0)
+        assert str(exc.value) == message
