@@ -16,14 +16,13 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
 from .core import CompressedDoc, decode_image, encode_image
 from .errors import ConsistencyError, FormatError, ValidationError
 from .extract import BlockSpec, extract_block_detailed
-from .features import LOG_BASES, Characterization, characterize
+from .features import LOG_BASES, Characterization, characterize, foreground_total
 from .formats import (
     RLC_MAGIC,
     pbm_header,
@@ -120,12 +119,14 @@ def cmd_decode(args) -> int:
             eol=(args.eol == "required"),
             byte_align=args.byte_align,
         )
-    elif data[: len(RLC_MAGIC)] == RLC_MAGIC.encode():
-        doc = read_rle(data)
-    elif data[:2] in (b"P1", b"P4"):
-        raise ValidationError("decode expects an RLC1 or raw fax input, got PBM")
     else:
-        raise ValidationError("raw fax input needs --width, --height, --eol")
+        try:
+            kind = _sniff(data)
+        except FormatError:
+            raise ValidationError("raw fax input needs --width, --height, --eol") from None
+        if kind == "pbm":
+            raise ValidationError("decode expects an RLC1 or raw fax input, got PBM")
+        doc = read_rle(data)
     Path(args.output).write_bytes(write_pbm(decode_image(doc), plain=args.plain))
     return 0
 
@@ -249,9 +250,7 @@ def cmd_evaluate(args) -> int:
     missing = [n for n in names if not (b / n).is_file()]
     if missing:
         raise ValidationError(f"missing ground truth for: {', '.join(missing)}")
-    pairs = [(str(a / n), str(b / n)) for n in names]
-    with ThreadPoolExecutor(max_workers=max(args.jobs, 1)) as pool:
-        results = list(pool.map(lambda p: _evaluate_pair(*p, args.mode), pairs))
+    results = [_evaluate_pair(str(a / n), str(b / n), args.mode) for n in names]
     if args.json:
         report = _report_skeleton(args, "evaluate")
         report.update(
@@ -272,7 +271,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_info(args) -> int:
     kind, doc = _load_doc(args.input)
-    foreground = sum(sum(row[1::2]) for row in doc.rows)
+    foreground = foreground_total(doc)
     payload = {
         "format": kind,
         "width": doc.width,
@@ -357,8 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("pixel", "compressed"), required=True)
     p.add_argument(
         "--jobs", type=int, default=1,
-        help="worker threads for directory evaluation; they overlap file reads, not "
-        "computation, which holds the interpreter lock, so --jobs 2 can be slower than 1",
+        help="accepted for compatibility and has no effect; directories are evaluated serially",
     )
     p.add_argument("--json", action="store_true", help="print a JSON report")
     p.set_defaults(func=cmd_evaluate)

@@ -38,12 +38,13 @@ MAX_DIM = 2**31 - 1
 
 def is_canonical(runs: Sequence[int]) -> bool:
     """True if `runs` is in canonical form (zero length only allowed for the
-    leading background run, and only when followed by more runs)."""
+    leading background run, and only when followed by more runs; no negative
+    lengths)."""
     if len(runs) == 0:
         return True
     if any(r < 1 for r in runs[1:]):
         return False
-    return runs[0] >= 1 or len(runs) >= 2
+    return runs[0] >= 1 or (runs[0] == 0 and len(runs) >= 2)
 
 
 def encode_row(pixels: Sequence[int]) -> RunRow:

@@ -90,6 +90,23 @@ class ExtractionStats:
     runs_emitted: int = 0
 
 
+def _advance(runs, j: int, run_sum: int, column: int, which: str) -> tuple[int, int]:
+    """Move a scan forward to `column`.
+
+    The scan has summed runs 1..j to `run_sum`; `runs` yields the (index,
+    length) pairs of the runs after j. Returns (index, cumulative sum) of the
+    first run whose cumulative sum reaches `column`, which is the scan's own
+    position when it already has, and raises when the row ends first.
+    """
+    if run_sum >= column:
+        return j, run_sum
+    for j, length in runs:
+        run_sum += length
+        if run_sum >= column:
+            return j, run_sum
+    raise ValidationError(f"{which} column {column} is beyond the row width {run_sum}")
+
+
 def locate_start(row: Sequence[int], y1: int) -> tuple[int, int]:
     """Find the run containing column y1.
 
@@ -99,12 +116,8 @@ def locate_start(row: Sequence[int], y1: int) -> tuple[int, int]:
     """
     if y1 < 1:
         raise ValidationError(f"start column must be >= 1, got {y1}")
-    run_sum = 0
-    for j, length in enumerate(row, 1):
-        run_sum += length
-        if run_sum >= y1:
-            return j, run_sum - y1 + 1
-    raise ValidationError(f"start column {y1} is beyond the row width {run_sum}")
+    j, run_sum = _advance(enumerate(row, 1), 0, 0, y1, "start")
+    return j, run_sum - y1 + 1
 
 
 def locate_end(row: Sequence[int], y2: int) -> tuple[int, int]:
@@ -115,40 +128,20 @@ def locate_end(row: Sequence[int], y2: int) -> tuple[int, int]:
     """
     if y2 < 1:
         raise ValidationError(f"end column must be >= 1, got {y2}")
-    run_sum = 0
-    for j, length in enumerate(row, 1):
-        run_sum += length
-        if run_sum >= y2:
-            return j, run_sum - y2
-    raise ValidationError(f"end column {y2} is beyond the row width {run_sum}")
+    j, run_sum = _advance(enumerate(row, 1), 0, 0, y2, "end")
+    return j, run_sum - y2
 
 
-def _scan_bounds(row: RunRow, y1: int, y2: int) -> tuple[BoundaryRecord, int]:
+def _boundary_record(row: RunRow, y1: int, y2: int) -> BoundaryRecord:
     """Locate both column boundaries in one monotone scan.
 
-    Returns (record, runs visited); the visit count equals the end run index
-    because the scan resumes from the start boundary instead of restarting.
+    The end search resumes where the start search stopped, so the scan
+    visits exactly `end_run` runs.
     """
-    run_sum = 0
-    start_run = start_residue = 0
-    runs_iter = enumerate(row, 1)
-    j = 0
-    for j, length in runs_iter:
-        run_sum += length
-        if run_sum >= y1:
-            start_run = j
-            start_residue = run_sum - y1 + 1
-            break
-    else:
-        raise ValidationError(f"start column {y1} is beyond the row width {run_sum}")
-    if run_sum < y2:
-        for j, length in runs_iter:
-            run_sum += length
-            if run_sum >= y2:
-                break
-        else:
-            raise ValidationError(f"end column {y2} is beyond the row width {run_sum}")
-    return BoundaryRecord(start_run, start_residue, j, run_sum - y2), j
+    runs = enumerate(row, 1)
+    p1, start_sum = _advance(runs, 0, 0, y1, "start")
+    p2, end_sum = _advance(runs, p1, start_sum, y2, "end")
+    return BoundaryRecord(p1, start_sum - y1 + 1, p2, end_sum - y2)
 
 
 def build_position_table(doc: CompressedDoc, spec: BlockSpec) -> list[BoundaryRecord]:
@@ -159,7 +152,7 @@ def build_position_table(doc: CompressedDoc, spec: BlockSpec) -> list[BoundaryRe
     """
     spec.validate_for(doc.width, doc.height)
     return [
-        _scan_bounds(doc.rows[i], spec.y1, spec.y2)[0]
+        _boundary_record(doc.rows[i], spec.y1, spec.y2)
         for i in range(spec.x1 - 1, spec.x2)
     ]
 
@@ -211,12 +204,12 @@ def extract_block_detailed(
     table: list[BoundaryRecord] = []
     rows: list[RunRow] = []
     for i in range(spec.x1 - 1, spec.x2):
-        rec, visited = _scan_bounds(doc.rows[i], spec.y1, spec.y2)
+        rec = _boundary_record(doc.rows[i], spec.y1, spec.y2)
         trimmed = trim_row(doc.rows[i], rec, width=spec.width)
         table.append(rec)
         rows.append(trimmed)
         stats.rows += 1
-        stats.runs_visited += visited
+        stats.runs_visited += rec.end_run
         stats.runs_emitted += len(trimmed)
     block = CompressedDoc._trusted(spec.width, spec.height, tuple(rows))
     return block, table, stats

@@ -238,6 +238,13 @@ class Characterization:
     entropy_label: str | None = None
 
 
+def _report(block: CompressedDoc, ctx: FeatureContext) -> FeatureReport:
+    """All three features of `block` under one context."""
+    return FeatureReport(
+        density=density(block, ctx), ceq=ceq(block, ctx), seq=seq(block, ctx), context=ctx
+    )
+
+
 def characterize(
     block: CompressedDoc,
     doc: CompressedDoc | None = None,
@@ -254,13 +261,7 @@ def characterize(
     """
     if (doc is None) != (spec is None):
         raise ValidationError("source document and block rectangle must be given together")
-    abs_ctx = FeatureContext.absolute(block, log_base)
-    absolute = FeatureReport(
-        density=density(block, abs_ctx),
-        ceq=ceq(block, abs_ctx),
-        seq=seq(block, abs_ctx),
-        context=abs_ctx,
-    )
+    absolute = _report(block, FeatureContext.absolute(block, log_base))
     if doc is None:
         return Characterization(absolute=absolute)
 
@@ -274,12 +275,7 @@ def characterize(
         block_origin=(spec.x1, spec.y1),
         log_base=log_base,
     )
-    relative = FeatureReport(
-        density=density(block, rel_ctx),
-        ceq=ceq(block, rel_ctx),
-        seq=seq(block, rel_ctx),
-        context=rel_ctx,
-    )
+    relative = _report(block, rel_ctx)
     doc_ctx = FeatureContext.absolute(doc, log_base)
     doc_density = density(doc, doc_ctx)
     doc_row_ceq = ceq(doc, doc_ctx) / doc.height

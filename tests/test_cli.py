@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from runblock import (
+    BlockSpec,
     CompressedDoc,
     decode_image,
+    extract_block,
     mh_encode_image,
     read_pbm,
     read_rle,
@@ -35,6 +37,21 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_quiet(argv):
+    """Exit code and stderr of one command, with its stdout dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code, err, codes=(0, 2, 3, 4)):
+    """An exit code of the contract, and on failure a diagnostic, never a traceback."""
+    assert code in codes
+    assert "Traceback" not in err
+    assert code == 0 or err.startswith("runblock: error: ")
 
 
 class TestEncodeDecode:
@@ -120,7 +137,6 @@ class TestEncodeDecode:
                 del data[where % (len(data) + 1) :]
             elif kind == "append":
                 data += extra
-        err = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             raw = Path(tmp) / "page.g3"
             raw.write_bytes(data)
@@ -129,11 +145,8 @@ class TestEncodeDecode:
                 "--width", str(doc.width), "--height", str(doc.height),
                 "--eol", "required" if eol else "forbidden",
             ] + (["--byte-align"] if byte_align else [])
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = main(argv)
-        assert code in (0, 3)
-        assert "Traceback" not in err.getvalue()
-        assert code == 0 or err.getvalue().startswith("runblock: error: ")
+            code, err = run_quiet(argv)
+        assert_clean_exit(code, err, codes=(0, 3))
 
     def test_corrupt_rlc_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.rlc"
@@ -322,6 +335,22 @@ class TestEvaluate:
             "zeta.rlc: 100.0000",
         ]
 
+    def test_jobs_has_no_effect_on_directory_report(self, tmp_path, capsys):
+        rng = np.random.default_rng(54)
+        a_dir = tmp_path / "extracted"
+        b_dir = tmp_path / "truth"
+        a_dir.mkdir()
+        b_dir.mkdir()
+        for name in ("b.rlc", "a.rlc", "c.rlc"):
+            (a_dir / name).write_bytes(write_rle(text_like_doc(rng, 5, 30)))
+            (b_dir / name).write_bytes(write_rle(text_like_doc(rng, 5, 30)))
+        for mode in ("pixel", "compressed"):
+            for extra in ((), ("--json",)):
+                argv = ["evaluate", a_dir, b_dir, "--mode", mode, *extra]
+                serial = run(capsys, *argv, "--jobs", 1)
+                assert serial[0] == 0
+                assert run(capsys, *argv, "--jobs", 2) == serial
+
     def test_missing_truth_file(self, tmp_path, capsys):
         a_dir = tmp_path / "extracted"
         b_dir = tmp_path / "truth"
@@ -377,3 +406,83 @@ def test_timing_flag_adds_elapsed(worked_doc, capsys):
     code, stdout, _ = run(capsys, "characterize", worked_doc, "--json", "--timing")
     assert code == 0
     assert "elapsed_seconds" in json.loads(stdout)
+
+
+# Every command's argv on a mutated input: {inp} is the mutated file, {orig}
+# the unmutated file in the same format, {block} a valid RLC1 block of the
+# unmutated page at the rectangle below, and {a}/{b} two directories that hold
+# the mutated and the unmutated file under one name.
+FUZZ_RECT = ["--x1", "2", "--x2", "5", "--y1", "3", "--y2", "30"]
+FUZZ_COMMANDS = [
+    ["encode", "{inp}", "{tmp}/out"],
+    ["decode", "{inp}", "{tmp}/out"],
+    ["extract", "{inp}", "{tmp}/out", *FUZZ_RECT, "--json", "--trace", "-"],
+    ["characterize", "{inp}", "--json"],
+    ["characterize", "{inp}", "--doc", "{orig}", *FUZZ_RECT],
+    ["characterize", "{block}", "--doc", "{inp}", *FUZZ_RECT, "--json"],
+    ["evaluate", "{inp}", "{orig}", "--mode", "pixel"],
+    ["evaluate", "{inp}", "{orig}", "--mode", "compressed", "--json"],
+    ["evaluate", "{a}", "{b}", "--mode", "pixel", "--jobs", "2"],
+    ["evaluate", "{a}", "{b}", "--mode", "compressed"],
+    ["info", "{inp}"],
+    ["info", "{inp}", "--json"],
+]
+FUZZ_PAGE = text_like_doc(np.random.default_rng(55), 6, 40)
+FUZZ_SOURCES = {
+    "rlc1": write_rle(FUZZ_PAGE),
+    "p1": write_pbm(decode_image(FUZZ_PAGE), plain=True),
+    "p4": write_pbm(decode_image(FUZZ_PAGE)),
+}
+FUZZ_BLOCK = write_rle(extract_block(FUZZ_PAGE, BlockSpec(2, 5, 3, 30)))
+FUZZ_INSERTS = {"space": b" ", "newline": b"\n", "comment": b"# c\n"}
+
+
+def mutate(data: bytes, edits) -> bytes:
+    """Apply bit flips, truncations, appended bytes and inserted digits,
+    spaces, newlines and comments, in order."""
+    out = bytearray(data)
+    for kind, where, extra in edits:
+        if kind == "flip":
+            if out:
+                bit = where % (8 * len(out))
+                out[bit // 8] ^= 0x80 >> bit % 8
+        elif kind == "truncate":
+            del out[where % (len(out) + 1) :]
+        elif kind == "append":
+            out += extra
+        else:
+            at = where % (len(out) + 1)
+            out[at:at] = b"%d" % (extra[0] % 10) if kind == "digit" else FUZZ_INSERTS[kind]
+    return bytes(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    source=st.sampled_from(sorted(FUZZ_SOURCES)),
+    command=st.sampled_from(FUZZ_COMMANDS),
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(["flip", "truncate", "append", "digit", *FUZZ_INSERTS]),
+            st.integers(0, 2**16),
+            st.binary(min_size=1, max_size=4),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_mutated_input_exit_codes_every_command(source, command, edits):
+    """Every command on mutated RLC1, P1 and P4 input ends in an exit code of
+    the contract with a diagnostic, never in a traceback."""
+    original = FUZZ_SOURCES[source]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp) / name for name in ("inp", "orig", "block", "a", "b")}
+        paths["inp"].write_bytes(mutate(original, edits))
+        paths["orig"].write_bytes(original)
+        paths["block"].write_bytes(FUZZ_BLOCK)
+        for name in ("a", "b"):
+            paths[name].mkdir()
+        (paths["a"] / "page").write_bytes(paths["inp"].read_bytes())
+        (paths["b"] / "page").write_bytes(original)
+        argv = [arg.format(tmp=tmp, **paths) for arg in command]
+        code, err = run_quiet(argv)
+    assert_clean_exit(code, err)

@@ -94,6 +94,7 @@ def test_is_canonical():
     assert not is_canonical((4, 0, 3))
     assert not is_canonical((5, 0))
     assert not is_canonical((0,))
+    assert not is_canonical((-1, 5))
 
 
 class TestCompressedDoc:

@@ -119,6 +119,26 @@ class TestPositionTable:
             assert rec.end_run == len(row)
             assert rec.end_residue == 0
 
+    def test_table_and_visits_of_extraction(self):
+        """The position table and the extraction share one scan, which
+        visits exactly `end_run` runs per row."""
+        rng = np.random.default_rng(10)
+        for _ in range(4):
+            doc = text_like_doc(rng, 40, 300)
+            specs = [random_spec(rng, doc) for _ in range(20)] + [
+                BlockSpec(1, doc.height, 1, doc.width),
+                BlockSpec(1, doc.height, 150, 150),
+                BlockSpec(17, 17, 1, doc.width),
+            ]
+            for spec in specs:
+                _, table, stats = extract_block_detailed(doc, spec)
+                assert build_position_table(doc, spec) == table
+                assert stats.runs_visited == sum(r.end_run for r in table)
+                for rec, i in zip(table, range(spec.x1 - 1, spec.x2)):
+                    assert (rec.start_run, rec.start_residue, rec.end_run, rec.end_residue) == (
+                        _enumerate_bounds(doc.rows[i], spec.y1, spec.y2)
+                    )
+
     def test_out_of_bounds_names_bound(self):
         doc = CompressedDoc.from_rows([(4, 4)])
         with pytest.raises(ValidationError, match="x2"):

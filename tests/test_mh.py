@@ -390,12 +390,14 @@ class TestEncodeMatchesReference:
             assert ref_decode_image(data, 9000, 5, eol=eol, byte_align=byte_align) == LONG_RUN_DOC
 
     def test_negative_leading_run_rejected(self):
-        # is_canonical lets a negative leading run through; the run coder does not
-        doc = CompressedDoc.from_rows([(-1, 5)])
+        with pytest.raises(ValidationError, match="not canonical"):
+            CompressedDoc.from_rows([(-1, 5)])
+        with pytest.raises(ValidationError, match="not canonical"):
+            mh_encode_row((-1, 5))
+        # the run coder's own check, on a document that skipped validation
+        doc = CompressedDoc._trusted(4, 1, ((-1, 5),))
         with pytest.raises(ValidationError, match="negative run length -1"):
             mh_encode_image(doc, eol=False)
-        with pytest.raises(ValidationError, match="negative run length -1"):
-            mh_encode_row((-1, 5))
 
 
 def mutated_streams(rng, doc, eol, byte_align):
