@@ -179,13 +179,12 @@ def cmd_characterize(args) -> int:
     _, block = _load_doc(args.input)
     doc = None
     spec = None
-    relative_wanted = args.doc is not None
-    if relative_wanted:
+    if args.doc is not None:
         coords = (args.x1, args.x2, args.y1, args.y2)
         if any(c is None for c in coords):
             raise ValidationError("relative mode needs --doc together with --x1/--x2/--y1/--y2")
-        _, doc = _load_doc(args.doc)
         spec = _block_spec(args)
+        _, doc = _load_doc(args.doc, spec)
     result: Characterization = characterize(
         block, doc=doc, spec=spec, log_base=LOG_BASES[args.log_base]
     )
@@ -308,7 +307,12 @@ def _add_block_args(parser, required: bool) -> None:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    common.add_argument("--timing", action="store_true", help="include elapsed wall time in JSON reports")
+    # no default, which a command's parser would set over a --timing given
+    # before the command
+    common.add_argument(
+        "--timing", action="store_true", default=argparse.SUPPRESS,
+        help="include elapsed wall time in JSON reports",
+    )
 
     parser = argparse.ArgumentParser(
         prog="runblock",

@@ -9,18 +9,25 @@ parity rule "odd run index = background, even run index = foreground"
 Canonical form: apart from that optional leading zero, every run has length
 >= 1. All functions here produce canonical rows.
 
+Layout: a document is stored in compressed-sparse-row (CSR) form, the layout
+of `scipy.sparse.csr_matrix`. One read-only int64 array `runs` holds every
+row's runs back to back, and row i is `runs[offsets[i]:offsets[i + 1]]`.
+The global cumulative run sum, the tuple view `rows` and the transition and
+ink counts that the features share are built on first use and cached.
+Whole-page work runs in bounded row chunks, so its temporaries stay small.
+
 Validation happens once, where rows enter the package. `CompressedDoc(...)`
-checks the dimensions and every row, and rejects anything else. Internal
-producers whose rows are valid by construction (`read_rle`, which checks the
-rows as it parses them, `encode_image`, `extract_block_detailed` and
-`mh_decode_image`) build documents with `CompressedDoc._trusted`, which skips
-that second check.
+checks the dimensions and every row with array operations, and rejects
+anything else. Internal producers whose rows are valid by construction
+(`read_rle`, which checks the rows as it parses them, `encode_image`,
+`extract_block_detailed` and `mh_decode_image`) build documents with
+`CompressedDoc._trusted`, which skips that second check.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,6 +41,44 @@ FOREGROUND = 1
 
 # Dimension cap; keeps every pixel/run accumulator exact in a 64-bit int.
 MAX_DIM = 2**31 - 1
+
+# Pixels per chunk of rows in whole-page compression and expansion.
+CHUNK_PIXELS = 1 << 20
+
+# Pixel budget of every pixel grid the package allocates: 2**28 pixels, a
+# 256 MiB grid, well above a 600 dpi A3 page (70 million pixels).
+MAX_PIXELS = 1 << 28
+
+
+def _check_pixels(width: int, height: int) -> None:
+    """Reject a grid of more than MAX_PIXELS pixels, before it is allocated."""
+    if width * height > MAX_PIXELS:
+        raise ValidationError(f"{width} x {height} pixels exceed the pixel budget of {MAX_PIXELS}")
+
+
+def _is_integer(value) -> bool:
+    try:
+        return int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _flatten(rows: Iterable[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(runs, offsets) of a sequence of run rows, whose run lengths must be
+    integers that fit in 64 bits."""
+    rows = [tuple(r) for r in rows]
+    flat = [r for row in rows for r in row]
+    try:
+        runs = np.array(flat, dtype=np.int64)
+        exact = runs.tolist() == flat  # no float truncated, no string parsed
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact:
+        bad = next(((i, r) for i, row in enumerate(rows, 1) for r in row if not _is_integer(r)), None)
+        if bad is None:
+            raise ValidationError("a run length does not fit in 64 bits")
+        raise ValidationError(f"row {bad[0]} holds a run length that is not an integer: {bad[1]!r}")
+    return runs, np.array([0, *itertools.accumulate(map(len, rows))], dtype=np.int64)
 
 
 def is_canonical(runs: Sequence[int]) -> bool:
@@ -52,29 +97,24 @@ def encode_row(pixels: Sequence[int]) -> RunRow:
     pixels = list(pixels)
     if not pixels:
         raise ValidationError("cannot encode an empty pixel row")
-    runs = [0] if pixels[0] else []
-    for value, group in itertools.groupby(pixels):
-        if value not in (0, 1):
-            raise ValidationError(f"pixel value {value!r} is not 0 or 1")
-        runs.append(sum(1 for _ in group))
-    return tuple(runs)
+    bad = [p for p in pixels if p not in (0, 1)]
+    if bad:
+        raise ValidationError(f"pixel value {bad[0]!r} is not 0 or 1")
+    # the row between a white pixel and an end mark: the runs end at the
+    # changes, and a change right after the white pixel ends the leading zero
+    framed = np.array([0, *pixels, 2], dtype=np.int8)
+    ends = (framed[1:] != framed[:-1]).nonzero()[0].tolist()
+    return tuple(b - a for a, b in zip([0, *ends], ends))
 
 
 def decode_row(runs: Sequence[int], width: int) -> list[int]:
     """Expand a run row back into a list of 0/1 pixels of length `width`."""
-    total = 0
-    for r in runs:
-        if r < 0:
-            raise FormatError(f"negative run length {r}")
-        total += r
-    if total != width:
-        raise FormatError(f"row sums to {total}, expected width {width}")
-    out: list[int] = []
-    color = BACKGROUND
-    for length in runs:
-        out.extend([color] * length)
-        color ^= 1
-    return out
+    doc = _one_row(runs)
+    if (doc.runs < 0).any():
+        raise FormatError(f"negative run length {doc.runs[doc.runs < 0][0]}")
+    if doc.width != width:
+        raise FormatError(f"row sums to {doc.width}, expected width {width}")
+    return decode_image(doc)[0].tolist()
 
 
 def canonicalize_row(runs: Sequence[int]) -> RunRow:
@@ -84,58 +124,77 @@ def canonicalize_row(runs: Sequence[int]) -> RunRow:
     they separate; a leading zero is kept only when the first pixel is
     foreground.
     """
-    merged: list[list[int]] = []  # [color, length] pairs, zero runs dropped
-    color = BACKGROUND
-    for length in runs:
-        if length < 0:
-            raise FormatError(f"negative run length {length}")
-        if length:
-            if merged and merged[-1][0] == color:
-                merged[-1][1] += length
-            else:
-                merged.append([color, length])
-        color ^= 1
-    out = [0] if merged and merged[0][0] == FOREGROUND else []
-    out.extend(length for _, length in merged)
-    return tuple(out)
+    runs = np.asarray(runs, dtype=np.int64)
+    if (runs < 0).any():
+        raise FormatError(f"negative run length {runs[runs < 0][0]}")
+    colors = np.flatnonzero(runs) & 1
+    groups = np.flatnonzero(np.diff(colors, prepend=-1))  # first run of each color group
+    merged = np.add.reduceat(runs[runs > 0], groups) if groups.size else groups
+    return (0,) * int(colors[:1].sum()) + tuple(merged.tolist())
 
 
-@dataclass(frozen=True)
 class CompressedDoc:
     """A run-length compressed binary image: `height` canonical run rows,
-    each summing to `width`. Immutable; safe to share across threads."""
+    each summing to `width`, in CSR layout. Immutable; safe to share across
+    threads."""
 
     width: int
     height: int
-    rows: tuple[RunRow, ...]
+    runs: np.ndarray  # int64, every row's runs back to back; read-only
+    offsets: np.ndarray  # int64, height + 1 entries; read-only
+
+    def __init__(self, width: int, height: int, rows: Iterable[Sequence[int]]):
+        self._init(width, height, *_flatten(rows))
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+        """Check the dimensions, the row count and every row. The rows are
+        checked as arrays; a failure names the first bad row, with the
+        message of a row-by-row check."""
         if not 1 <= self.width <= MAX_DIM:
             raise ValidationError(f"width {self.width} out of range 1..{MAX_DIM}")
         if not 1 <= self.height <= MAX_DIM:
             raise ValidationError(f"height {self.height} out of range 1..{MAX_DIM}")
-        if len(self.rows) != self.height:
+        if len(self.offsets) - 1 != self.height:
             raise ValidationError(
-                f"got {len(self.rows)} rows, expected height {self.height}"
+                f"got {len(self.offsets) - 1} rows, expected height {self.height}"
             )
+        runs, offsets, width = self.runs, self.offsets, self.width
+        # as unsigned, a negative run is above any width too
+        if runs.size and int(np.maximum.reduce(runs.view(np.uint64))) <= width:
+            # no sum can wrap around; a row sums to the width exactly when the
+            # cumulative sum at its end is its number times the width, and an
+            # empty row repeats the sum of the row above
+            cumsum = np.add.accumulate(runs)
+            ends = cumsum[offsets[1:] - 1]
+            if (
+                not np.count_nonzero(ends - np.arange(width, (self.height + 1) * width, width))
+                # so no row is empty, and a one-run row has no zero run: the
+                # row is canonical if only its first run may be zero
+                and runs.size - np.count_nonzero(runs) == self.height - np.count_nonzero(runs[offsets[:-1]])
+            ):
+                cumsum.setflags(write=False)
+                self.__dict__["cumsum"] = cumsum
+                return
         for i, row in enumerate(self.rows, 1):
             if not is_canonical(row):
                 raise ValidationError(f"row {i} is not canonical: {list(row)}")
-            if sum(row) != self.width:
-                raise ValidationError(
-                    f"row {i} sums to {sum(row)}, expected width {self.width}"
-                )
+            if sum(row) != width:
+                raise ValidationError(f"row {i} sums to {sum(row)}, expected width {width}")
+
+    def _init(self, width: int, height: int, runs: np.ndarray, offsets: np.ndarray) -> None:
+        runs.setflags(write=False)
+        offsets.setflags(write=False)
+        self.__dict__.update(width=width, height=height, runs=runs, offsets=offsets)
 
     @classmethod
-    def _trusted(cls, width: int, height: int, rows: tuple[RunRow, ...]) -> "CompressedDoc":
-        """Build a document without checking it. Only for producers that
-        guarantee what `__post_init__` checks: dimensions in range, `height`
-        rows, each a canonical tuple of ints summing to `width`."""
+    def _trusted(cls, width: int, height: int, runs: np.ndarray, offsets: np.ndarray) -> "CompressedDoc":
+        """Build a document from int64 arrays in CSR layout without checking
+        it. Only for producers that guarantee what `__post_init__` checks:
+        dimensions in range, `height` rows, each canonical and summing to
+        `width`."""
         doc = object.__new__(cls)
-        object.__setattr__(doc, "width", width)
-        object.__setattr__(doc, "height", height)
-        object.__setattr__(doc, "rows", rows)
+        doc._init(width, height, runs, offsets)
         return doc
 
     @classmethod
@@ -146,8 +205,77 @@ class CompressedDoc:
             raise ValidationError("a document needs at least one row")
         return cls(width=sum(rows[0]), height=len(rows), rows=rows)
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CompressedDoc is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            (self.width, self.height) == (other.width, other.height)
+            and np.array_equal(self.offsets, other.offsets)
+            and np.array_equal(self.runs, other.runs)
+        )
+
+    def __hash__(self):
+        return hash((self.width, self.height, self.offsets.tobytes(), self.runs.tobytes()))
+
+    def __repr__(self):
+        return f"CompressedDoc(width={self.width}, height={self.height}, rows={self.rows!r})"
+
     def total_runs(self) -> int:
-        return sum(len(r) for r in self.rows)
+        return len(self.runs)
+
+    @cached_property
+    def rows(self) -> tuple[RunRow, ...]:
+        """The rows as tuples of Python ints."""
+        flat, ends = self.runs.tolist(), self.offsets.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(ends, ends[1:]))
+
+    @cached_property
+    def cumsum(self) -> np.ndarray:
+        """Global cumulative run sum: row i's runs end at i * width plus
+        their cumulative sum within the row."""
+        cumsum = np.add.accumulate(self.runs)
+        cumsum.setflags(write=False)
+        return cumsum
+
+    @cached_property
+    def row_transitions(self) -> np.ndarray:
+        """Color transitions per row: the nonzero runs less one."""
+        starts = self.offsets[:-1]
+        # a leading zero run is the only zero run of a row
+        return (self.offsets[1:] - 1) - starts - np.logical_not(self.runs[starts])
+
+    @cached_property
+    def transitions(self) -> tuple[np.ndarray, np.ndarray]:
+        """(row, column) of every color transition, row by row: the 0-based
+        row, and the 1-based column of the last pixel before the change,
+        which is the cumulative run sum at that boundary within the row."""
+        row, column = np.divmod(self.cumsum, self.width)
+        # the leading zero run ends at column 0 and the last run at the
+        # width, which is column 0 of the next row
+        inner = column != 0
+        return row[inner], column[inner]
+
+    @cached_property
+    def foreground(self) -> int:
+        """Foreground pixel count: the runs at odd 0-based positions within
+        their row, from a prefix sum of the runs at odd global positions."""
+        odd = np.zeros(self.runs.size // 2 + 1, dtype=np.int64)
+        np.add.accumulate(self.runs[1::2], out=odd[1:])
+        starts, ends = self.offsets[:-1], self.offsets[1:]
+        in_row = odd[ends >> 1] - odd[starts >> 1]
+        # in a row that starts at an odd global position, ink is the even runs
+        flipped = (starts & 1).astype(bool)
+        in_row[flipped] = self.width - in_row[flipped]
+        return int(np.add.reduce(in_row))
+
+
+def _one_row(row: Sequence[int]) -> CompressedDoc:
+    """A one-row document of `row`, unchecked, as wide as the row's sum."""
+    runs = np.asarray(row, dtype=np.int64)
+    return CompressedDoc._trusted(int(runs.sum()), 1, runs, np.array([0, runs.size]))
 
 
 def encode_image(grid) -> CompressedDoc:
@@ -161,30 +289,52 @@ def encode_image(grid) -> CompressedDoc:
         raise ValidationError("grid must be a rectangular 2-D array of 0/1 pixels")
     if arr.size == 0:
         raise ValidationError("grid must contain at least one pixel")
-    # for unsigned and boolean pixels the maximum decides, without the three
-    # page-sized temporaries of the general test
-    binary = arr.max() <= 1 if arr.dtype.kind in "bu" else ((arr == 0) | (arr == 1)).all()
+    # the test without the page-sized temporaries of the general one: for
+    # unsigned and boolean pixels the maximum decides, for signed ones a shift
+    if arr.dtype.kind in "bu":
+        binary = arr.max() <= 1
+    elif arr.dtype.kind == "i":
+        binary = not np.count_nonzero(arr >> 1)
+    else:
+        binary = ((arr == 0) | (arr == 1)).all()
     if not binary:
         raise ValidationError("grid contains pixel values other than 0 and 1")
     height, width = arr.shape
     if max(height, width) > MAX_DIM:
         raise ValidationError(f"grid of {height} x {width} pixels exceeds {MAX_DIM} per side")
-    arr = arr.astype(np.uint8, copy=False)
-    rows = []
-    for row in arr:
-        starts = np.flatnonzero(row[1:] != row[:-1]) + 1
-        bounds = np.concatenate(([0], starts, [width]))
-        runs = np.diff(bounds).tolist()
-        if row[0]:
-            runs.insert(0, 0)
-        rows.append(tuple(runs))
-    return CompressedDoc._trusted(width, height, tuple(rows))
+    runs, counts = [], []
+    step = max(1, CHUNK_PIXELS // width)
+    for top in range(0, height, step):
+        part = arr[top : top + step]
+        # each row between a white pixel and an end mark: a change at slot 0
+        # is the leading-zero run, one at slot `width` the row's end
+        framed = np.zeros((part.shape[0], width + 2), dtype=np.int8)
+        framed[:, 1:-1] = part
+        framed[:, -1] = 2
+        changes = framed[:, 1:] != framed[:, :-1]
+        slots = changes.reshape(-1).nonzero()[0]
+        ends = slots - slots // (width + 1)  # where each run ends, counted from the chunk's start
+        lengths = ends.copy()  # in place, the overlapping subtraction would copy anyway
+        lengths[1:] -= ends[:-1]
+        runs.append(lengths)
+        counts.append(np.add.reduce(changes, axis=1))
+    offsets = np.zeros(height + 1, dtype=np.int64)
+    np.add.accumulate(counts[0] if len(counts) == 1 else np.concatenate(counts), out=offsets[1:])
+    return CompressedDoc._trusted(width, height, runs[0] if len(runs) == 1 else np.concatenate(runs), offsets)
 
 
 def decode_image(doc: CompressedDoc) -> np.ndarray:
     """Expand a CompressedDoc into a (height, width) uint8 array of 0/1."""
+    _check_pixels(doc.width, doc.height)
     out = np.empty((doc.height, doc.width), dtype=np.uint8)
-    for i, row in enumerate(doc.rows):
-        colors = (np.arange(len(row)) & 1).astype(np.uint8)
-        out[i] = np.repeat(colors, row)
+    pixels = out.reshape(-1)
+    offsets = doc.offsets
+    step = max(1, CHUNK_PIXELS // max(doc.width, 1))
+    for top in range(0, doc.height, step):
+        bounds = offsets[top : top + step + 1]
+        first, last = int(bounds[0]), int(bounds[-1])
+        # a run's color is the parity of its index within the row
+        colors = np.arange(last - first, dtype=np.uint8) & 1
+        colors ^= ((bounds[:-1] - first) & 1).astype(np.uint8).repeat(bounds[1:] - bounds[:-1])
+        pixels[top * doc.width : (top + bounds.size - 1) * doc.width] = colors.repeat(doc.runs[first:last])
     return out

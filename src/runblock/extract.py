@@ -1,11 +1,18 @@
 """Block extraction directly on run-length data.
 
 Given a rectangle (rows x1..x2, columns y1..y2, all 1-indexed inclusive),
-the block is located inside each selected run row by a single left-to-right
-scan of the cumulative run sum, recorded as a boundary record (start run
-index, start residue, end run index, end residue), and cut out by trimming
-the two boundary runs. No pixel buffer is ever materialized; the work per
-row is bounded by that row's run count.
+the block is located inside each selected run row by a binary search over
+the document's global cumulative run sum, which is monotone, so each row's
+search is confined to that row's runs. All selected rows are searched at
+once, first for y1 and then for y2. `extract_block_detailed`, which counts
+the run entries read, runs its own lock-step binary search, whose end
+search starts at the start run; the other callers take numpy's
+`searchsorted`, which finds the same runs. The result is a boundary record
+per row (start run index, start residue, end run index, end residue), and
+the block is cut out by one gather of the runs from the start run to the
+end run of every row, plus fixes to the two edge runs. No pixel buffer is
+ever materialized; a row's searches probe about twice the base-2 logarithm
+of its run count.
 
 Residue semantics: `start_residue` counts the pixels of the start run that
 lie inside the block (from y1 to the run's end); `end_residue` counts the
@@ -15,7 +22,9 @@ pixels of the end run that lie beyond y2 and must be dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .core import CompressedDoc, RunRow
 from .errors import ConsistencyError, ValidationError
@@ -68,8 +77,7 @@ class BlockSpec:
         )
 
 
-@dataclass(frozen=True)
-class BoundaryRecord:
+class BoundaryRecord(NamedTuple):
     """Where one row crosses the block's column boundaries.
 
     Run indices are 1-based (odd = background, even = foreground).
@@ -86,38 +94,103 @@ class ExtractionStats:
     """Operation counters for one extraction call."""
 
     rows: int = 0
-    runs_visited: int = 0  # run entries touched by the boundary scans
+    # distinct run entries whose cumulative sum the two binary searches read:
+    # their probes and the runs they settle on
+    runs_visited: int = 0
     runs_emitted: int = 0
 
 
-def _advance(runs, j: int, run_sum: int, column: int, which: str) -> tuple[int, int]:
-    """Move a scan forward to `column`.
+def _search(cumsum, lo, hi, target, seen):
+    """Lock-step binary search: per row, the first run index in lo..hi
+    whose cumulative sum reaches `target`, which run `hi` always does.
+    Every entry read is marked in `seen`. A row whose search has ended
+    stays put, since its `mid` is its answer, so all rows take the steps
+    of the longest range."""
+    for _ in range(int(np.maximum.reduce(hi - lo)).bit_length()):
+        mid = lo + hi
+        mid >>= 1
+        seen[mid] = True
+        reached = cumsum[mid] >= target
+        hi = np.where(reached, mid, hi)
+        mid += 1
+        lo = np.where(reached, lo, mid)
+    seen[lo] = True
+    return lo
 
-    The scan has summed runs 1..j to `run_sum`; `runs` yields the (index,
-    length) pairs of the runs after j. Returns (index, cumulative sum) of the
-    first run whose cumulative sum reaches `column`, which is the scan's own
-    position when it already has, and raises when the row ends first.
+
+def _bounds(doc: CompressedDoc, x1: int, x2: int, y1: int, y2: int, seen=None):
+    """Global run indices and residues of the boundaries of rows x1..x2
+    (0-based, exclusive end) at columns y1 and y2 (1-based).
+
+    With `seen`, a boolean array over the runs, the searches are lock-step
+    binary searches that mark every entry they read. Without it, numpy's
+    `searchsorted` over the whole cumulative sum, which is monotone, finds
+    the same runs."""
+    starts, cumsum, width = doc.offsets[x1:x2], doc.cumsum, doc.width
+    # the targets: the pixels above each row plus the column
+    start_at = np.arange(x1 * width + y1, x2 * width + y1, width)
+    end_at = start_at + (y2 - y1)
+    if seen is None:
+        p1, p2 = cumsum.searchsorted(start_at), cumsum.searchsorted(end_at)
+    else:
+        last = doc.offsets[x1 + 1 : x2 + 1] - 1
+        p1 = _search(cumsum, starts, last, start_at, seen)
+        p2 = _search(cumsum, p1, last, end_at, seen)
+    r1 = cumsum[p1] - start_at
+    r1 += 1
+    return starts, p1, r1, p2, cumsum[p2] - end_at
+
+
+def _cut(runs, starts, p1, r1, p2, r2) -> tuple[np.ndarray, np.ndarray]:
+    """Trimmed rows (runs, offsets) from boundary runs p1..p2 of rows that
+    start at `starts`, all global indices.
+
+    One gather copies runs p1..p2 of every row, and one run before p1 when
+    p1 is foreground, whose slot becomes the leading zero. The start run
+    then shrinks to r1 and the end run loses r2 pixels, which, when both are
+    the same run, leaves r1 - r2.
     """
-    if run_sum >= column:
-        return j, run_sum
-    for j, length in runs:
-        run_sum += length
-        if run_sum >= column:
-            return j, run_sum
-    raise ValidationError(f"{which} column {column} is beyond the row width {run_sum}")
+    lead = p1 - starts
+    lead &= 1  # the start run is foreground
+    first = p1 - lead
+    base = first[0]
+    # +1 where a row's range opens and -1 past where it closes, summed up
+    mark = np.zeros(p2[-1] + 2 - base, dtype=np.int8)
+    mark[first - base] = 1
+    mark[p2 + 1 - base] -= 1  # a row may open where the one above closes
+    out = runs[base : p2[-1] + 1][np.add.accumulate(mark[:-1], dtype=np.int8).view(bool)]
+    offsets = np.zeros(p1.size + 1, dtype=np.int64)
+    np.add.accumulate(p2 + 1 - first, out=offsets[1:])
+    heads = offsets[:-1]
+    out[heads] = 0
+    out[heads + lead] = r1
+    out[offsets[1:] - 1] -= r2
+    return out, offsets
+
+
+def _records(starts, p1, r1, p2, r2) -> list[BoundaryRecord]:
+    columns = (p1 - starts + 1, r1, p2 - starts + 1, r2)
+    return list(map(BoundaryRecord, *(c.tolist() for c in columns)))
+
+
+def _locate(row: Sequence[int], column: int, which: str) -> tuple[int, int]:
+    if column < 1:
+        raise ValidationError(f"{which} column must be >= 1, got {column}")
+    ends = np.add.accumulate(np.asarray(row, dtype=np.int64))
+    width = int(ends[-1]) if ends.size else 0
+    if column > width:
+        raise ValidationError(f"{which} column {column} is beyond the row width {width}")
+    p = int(ends.searchsorted(column))
+    return p + 1, int(ends[p]) - column + 1
 
 
 def locate_start(row: Sequence[int], y1: int) -> tuple[int, int]:
     """Find the run containing column y1.
 
     Returns (run index, residue), where the residue is the number of pixels
-    of that run from y1 through the run's end. The scan stops at the first
-    run whose cumulative sum reaches y1 and never looks further right.
+    of that run from y1 through the run's end.
     """
-    if y1 < 1:
-        raise ValidationError(f"start column must be >= 1, got {y1}")
-    j, run_sum = _advance(enumerate(row, 1), 0, 0, y1, "start")
-    return j, run_sum - y1 + 1
+    return _locate(row, y1, "start")
 
 
 def locate_end(row: Sequence[int], y2: int) -> tuple[int, int]:
@@ -126,22 +199,8 @@ def locate_end(row: Sequence[int], y2: int) -> tuple[int, int]:
     Returns (run index, residue), where the residue is the number of pixels
     of that run lying beyond y2 (0 when the run ends exactly at y2).
     """
-    if y2 < 1:
-        raise ValidationError(f"end column must be >= 1, got {y2}")
-    j, run_sum = _advance(enumerate(row, 1), 0, 0, y2, "end")
-    return j, run_sum - y2
-
-
-def _boundary_record(row: RunRow, y1: int, y2: int) -> BoundaryRecord:
-    """Locate both column boundaries in one monotone scan.
-
-    The end search resumes where the start search stopped, so the scan
-    visits exactly `end_run` runs.
-    """
-    runs = enumerate(row, 1)
-    p1, start_sum = _advance(runs, 0, 0, y1, "start")
-    p2, end_sum = _advance(runs, p1, start_sum, y2, "end")
-    return BoundaryRecord(p1, start_sum - y1 + 1, p2, end_sum - y2)
+    p, r = _locate(row, y2, "end")
+    return p, r - 1
 
 
 def build_position_table(doc: CompressedDoc, spec: BlockSpec) -> list[BoundaryRecord]:
@@ -151,10 +210,7 @@ def build_position_table(doc: CompressedDoc, spec: BlockSpec) -> list[BoundaryRe
     the horizontal segmentation.
     """
     spec.validate_for(doc.width, doc.height)
-    return [
-        _boundary_record(doc.rows[i], spec.y1, spec.y2)
-        for i in range(spec.x1 - 1, spec.x2)
-    ]
+    return _records(*_bounds(doc, spec.x1 - 1, spec.x2, spec.y1, spec.y2))
 
 
 def trim_row(row: Sequence[int], rec: BoundaryRecord, width: int | None = None) -> RunRow:
@@ -180,14 +236,10 @@ def trim_row(row: Sequence[int], rec: BoundaryRecord, width: int | None = None) 
         raise ConsistencyError(f"start residue {r1} does not fit run {p1} of length {row[p1 - 1]}")
     if not 0 <= r2 < row[p2 - 1]:
         raise ConsistencyError(f"end residue {r2} does not fit run {p2} of length {row[p2 - 1]}")
-    if p1 == p2:
-        if r1 <= r2:
-            raise ConsistencyError(f"single-run record with start residue {r1} <= end residue {r2}")
-        out = (r1 - r2,)
-    else:
-        out = (r1, *row[p1:p2 - 1], row[p2 - 1] - r2)
-    if p1 % 2 == 0:  # start boundary lies inside a foreground run
-        out = (0, *out)
+    if p1 == p2 and r1 <= r2:
+        raise ConsistencyError(f"single-run record with start residue {r1} <= end residue {r2}")
+    bounds = (np.array([v]) for v in (0, p1 - 1, r1, p2 - 1, r2))
+    out = tuple(_cut(np.asarray(row, dtype=np.int64), *bounds)[0].tolist())
     if width is not None and sum(out) != width:
         raise ConsistencyError(
             f"trimmed row sums to {sum(out)}, expected block width {width}"
@@ -195,28 +247,27 @@ def trim_row(row: Sequence[int], rec: BoundaryRecord, width: int | None = None) 
     return out
 
 
+def _extract(doc: CompressedDoc, spec: BlockSpec, count: bool = False):
+    """The block, its boundaries and, with `count`, the run entries that the
+    searches read, marked over the runs up to the last selected row."""
+    spec.validate_for(doc.width, doc.height)
+    seen = np.zeros(doc.offsets[spec.x2], dtype=bool) if count else None
+    bounds = _bounds(doc, spec.x1 - 1, spec.x2, spec.y1, spec.y2, seen)
+    return CompressedDoc._trusted(spec.width, spec.height, *_cut(doc.runs, *bounds)), bounds, seen
+
+
 def extract_block_detailed(
     doc: CompressedDoc, spec: BlockSpec
 ) -> tuple[CompressedDoc, list[BoundaryRecord], ExtractionStats]:
     """Extract a block and report the position table and work counters."""
-    spec.validate_for(doc.width, doc.height)
-    stats = ExtractionStats()
-    table: list[BoundaryRecord] = []
-    rows: list[RunRow] = []
-    for i in range(spec.x1 - 1, spec.x2):
-        rec = _boundary_record(doc.rows[i], spec.y1, spec.y2)
-        trimmed = trim_row(doc.rows[i], rec, width=spec.width)
-        table.append(rec)
-        rows.append(trimmed)
-        stats.rows += 1
-        stats.runs_visited += rec.end_run
-        stats.runs_emitted += len(trimmed)
-    block = CompressedDoc._trusted(spec.width, spec.height, tuple(rows))
-    return block, table, stats
+    block, bounds, seen = _extract(doc, spec, count=True)
+    stats = ExtractionStats(
+        rows=spec.height, runs_visited=int(np.count_nonzero(seen)), runs_emitted=block.total_runs()
+    )
+    return block, _records(*bounds), stats
 
 
 def extract_block(doc: CompressedDoc, spec: BlockSpec) -> CompressedDoc:
     """Extract the specified rectangle as a new CompressedDoc, working
     entirely on run data."""
-    block, _, _ = extract_block_detailed(doc, spec)
-    return block
+    return _extract(doc, spec)[0]

@@ -13,7 +13,8 @@ Both come in two modes. Absolute mode normalizes by the block's own
 dimensions. Relative mode normalizes by the source document's dimensions
 and offsets row/column positions by the block's origin inside the document,
 so the block is measured as a piece of its parent page. Transition counts
-and positions come from cumulative run sums; pixels are never expanded.
+come from the row offsets and transition positions from the cumulative run
+sum, as arrays that the document caches; pixels are never expanded.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import CompressedDoc
+import numpy as np
+
+from .core import CompressedDoc, _one_row
 from .errors import ConsistencyError, ValidationError
 from .extract import BlockSpec, extract_block
 
@@ -33,21 +36,12 @@ RELATIVE = "relative"
 LOG_BASES = {"2": 2.0, "e": math.e, "10": 10.0}
 
 
-def _log(x: float, base: float) -> float:
-    if base == 2.0:
-        return math.log2(x)
-    if base == 10.0:
-        return math.log10(x)
-    if base == math.e:
-        return math.log(x)
-    return math.log(x) / math.log(base)
+_LOGS = {2.0: math.log2, 10.0: math.log10, math.e: math.log}
 
 
-def _entropy(p: float, base: float) -> float:
-    # 0 * log(1/0) := 0 (entropy limit)
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return p * _log(1.0 / p, base) + (1.0 - p) * _log(1.0 / (1.0 - p), base)
+def _logger(base: float):
+    """The scalar logarithm to `base`: math's own function for 2, e and 10."""
+    return _LOGS.get(base) or (lambda x: math.log(x) / math.log(base))
 
 
 @dataclass(frozen=True)
@@ -122,36 +116,24 @@ class FeatureReport:
 
 def transitions_in_row(row: Sequence[int]) -> int:
     """Number of adjacent opposite-color pixel pairs in a canonical row."""
-    if not row:
-        return 0
-    nonzero = len(row) - (1 if row[0] == 0 else 0)
-    return max(nonzero - 1, 0)
+    return int(_one_row(row).row_transitions[0]) if len(row) else 0
 
 
 def foreground_pixels(row: Sequence[int]) -> int:
     """Foreground pixel count of a canonical background-first row: the sum
     of the runs at even 1-indexed positions."""
-    return sum(row[1::2])
+    return _one_row(row).foreground
 
 
 def transition_columns(row: Sequence[int]) -> list[int]:
-    """Columns of the color transitions in a canonical row, 1-indexed.
-
-    Each value is the column of the last pixel before a color change, i.e.
-    the cumulative run sum at that boundary.
-    """
-    cols = []
-    run_sum = 0
-    for length in row[:-1]:
-        run_sum += length
-        if run_sum > 0:  # skip the zero-length leading background run
-            cols.append(run_sum)
-    return cols
+    """Columns of the color transitions in a canonical row, 1-indexed: the
+    column of the last pixel before each color change."""
+    return _one_row(row).transitions[1].tolist()
 
 
 def foreground_total(block: CompressedDoc) -> int:
     """Total foreground pixel count of a document, from runs alone."""
-    return sum(foreground_pixels(row) for row in block.rows)
+    return block.foreground
 
 
 def _check_block(block: CompressedDoc, ctx: FeatureContext) -> None:
@@ -169,7 +151,14 @@ def density(block: CompressedDoc, ctx: FeatureContext) -> float:
         area = block.height * block.width
     else:
         area = ctx.doc_dims[0] * ctx.doc_dims[1]
-    return foreground_total(block) / area
+    return block.foreground / area
+
+
+def _sum(terms: np.ndarray) -> float:
+    """Sum from the first term to the last, one addition at a time, as a
+    Python loop adds; the terms are never -0.0, so starting at the first
+    term equals starting at 0.0. Not `np.sum`, which adds pairwise."""
+    return float(np.add.accumulate(terms)[-1]) if terms.size else 0.0
 
 
 def ceq(block: CompressedDoc, ctx: FeatureContext) -> float:
@@ -177,15 +166,21 @@ def ceq(block: CompressedDoc, ctx: FeatureContext) -> float:
 
     For each row, p = transitions / T with T the block width in absolute
     mode and the document width in relative mode; the row contributes the
-    binary entropy of p, and rows with p in {0, 1} contribute 0.
+    binary entropy of p, and rows with p in {0, 1} contribute 0. The entropy
+    is computed once per distinct transition count.
     """
     _check_block(block, ctx)
     normalizer = block.width if ctx.mode == ABSOLUTE else ctx.doc_dims[1]
-    total = 0.0
-    for row in block.rows:
-        p = transitions_in_row(row) / normalizer
-        total += _entropy(p, ctx.log_base)
-    return total
+    counts, log = block.row_transitions, _logger(ctx.log_base)
+    present = sorted(set(counts.tolist()))
+    table = np.zeros(present[-1] + 1)
+    # p = 0 contributes 0 (the entropy's limit), and p < 1, since a row has
+    # fewer transitions than pixels
+    table[present] = [
+        p * log(1.0 / p) + (1.0 - p) * log(1.0 / (1.0 - p)) if p else 0.0
+        for p in [t / normalizer for t in present]
+    ]
+    return _sum(table[counts])
 
 
 def seq(block: CompressedDoc, ctx: FeatureContext) -> float:
@@ -197,7 +192,8 @@ def seq(block: CompressedDoc, ctx: FeatureContext) -> float:
 
     with (m, n) the block dimensions in absolute mode. In relative mode
     (m, n) are the document dimensions and r and pos are offset by the
-    block's origin so they are document coordinates.
+    block's origin so they are document coordinates. The bracket depends on
+    `pos` alone, so it is computed once per column of the block.
     """
     _check_block(block, ctx)
     if ctx.mode == ABSOLUTE:
@@ -207,18 +203,16 @@ def seq(block: CompressedDoc, ctx: FeatureContext) -> float:
         m, n = ctx.doc_dims
         row_offset = ctx.block_origin[0] - 1
         col_offset = ctx.block_origin[1] - 1
-    base = ctx.log_base
-    total = 0.0
-    for local_row, row in enumerate(block.rows, 1):
-        r = row_offset + local_row
-        weight = r / m
-        for local_col in transition_columns(row):
-            pos = col_offset + local_col
-            total += weight * (
-                (pos / n) * _log(n / pos, base)
-                + (m - pos / n) * _log(m / (m + n - pos), base)
-            )
-    return total
+    log = _logger(ctx.log_base)
+    # indexed by the column within the block; column 0 holds no transition
+    table = [0.0] + [
+        (pos / n) * log(n / pos) + (m - pos / n) * log(m / (m + n - pos))
+        for pos in range(col_offset + 1, col_offset + block.width)
+    ]
+    rows, columns = block.transitions
+    # the weight r / m, as a Python int division gives it: both convert
+    # exactly to floats
+    return _sum((rows + (row_offset + 1)) / m * np.array(table)[columns])
 
 
 @dataclass(frozen=True)

@@ -18,19 +18,24 @@ instead of repairing it, naming the offending row.
 
 from __future__ import annotations
 
-import itertools
+import re
 import sys
 from typing import NoReturn
 
 import numpy as np
 
-from .core import MAX_DIM, CompressedDoc, RunRow, is_canonical
+from .core import MAX_DIM, CompressedDoc, _check_pixels, is_canonical
 from .errors import ConsistencyError, FormatError
 
 RLC_MAGIC = "RLC1"
 
 
 # ---------------------------------------------------------------- PBM
+
+# Byte kinds in a P1 raster: 0 whitespace, 1 a pixel digit, 2 anything else.
+_P1_KIND = np.full(256, 2, dtype=np.uint8)
+_P1_KIND[list(b" \t\r\n")] = 0
+_P1_KIND[list(b"01")] = 1
 
 
 def _parse_pbm_header(data: bytes) -> tuple[bytes, int, int, int]:
@@ -76,7 +81,8 @@ def pbm_header(data: bytes) -> tuple[int, int]:
 
 
 def read_pbm(data: bytes) -> np.ndarray:
-    """Parse P1 or P4 bytes into a (height, width) uint8 array of 0/1."""
+    """Parse P1 or P4 bytes into a (height, width) uint8 array of 0/1,
+    rejecting a raster beyond the pixel budget before allocating it."""
     magic, width, height, pos = _parse_pbm_header(data)
     if magic == b"P1":
         # every pixel takes a byte, so a short file cannot declare a huge raster
@@ -84,25 +90,23 @@ def read_pbm(data: bytes) -> np.ndarray:
             raise FormatError(
                 f"P1 raster is {len(data) - pos} bytes, too short for {width * height} pixels"
             )
-        bits = np.empty(width * height, dtype=np.uint8)
-        count = 0
-        i = pos
-        while i < len(data):
-            c = data[i]
-            if c in b"01":
-                if count >= bits.size:
-                    raise FormatError("trailing pixels after P1 raster")
-                bits[count] = c - 0x30
-                count += 1
-            elif c in b"#":
-                while i < len(data) and data[i] not in b"\r\n":
-                    i += 1
-            elif c not in b" \t\r\n":
-                raise FormatError(f"unexpected byte {bytes([c])!r} at byte {i} in P1 raster")
-            i += 1
-        if count != bits.size:
-            raise FormatError(f"P1 raster has {count} pixels, expected {bits.size}")
-        return bits.reshape(height, width)
+        _check_pixels(width, height)
+        if data.find(b"#", pos) >= 0:
+            # a comment runs to the end of its line: blank it, keeping offsets
+            data = data[:pos] + re.sub(rb"#[^\r\n]*", lambda m: b" " * len(m[0]), data[pos:])
+        raster = np.frombuffer(data, dtype=np.uint8)[pos:]
+        kind = _P1_KIND[raster]
+        pixel, other = kind == 1, kind == 2
+        bad = int(other.argmax()) if other.any() else raster.size  # the first other byte
+        # the errors in the order of a left-to-right read
+        count = np.count_nonzero(pixel[:bad])
+        if count > width * height:
+            raise FormatError("trailing pixels after P1 raster")
+        if bad < raster.size:
+            raise FormatError(f"unexpected byte {data[pos + bad : pos + bad + 1]!r} at byte {pos + bad} in P1 raster")
+        if count != width * height:
+            raise FormatError(f"P1 raster has {count} pixels, expected {width * height}")
+        return (raster[pixel] - ord("0")).reshape(height, width)
     # P4
     row_bytes = (width + 7) // 8
     payload = data[pos:]
@@ -112,6 +116,7 @@ def read_pbm(data: bytes) -> np.ndarray:
         )
     if len(payload) > row_bytes * height:
         raise FormatError("trailing bytes after P4 raster")
+    _check_pixels(width, height)
     packed = np.frombuffer(payload, dtype=np.uint8).reshape(height, row_bytes)
     return np.unpackbits(packed, axis=1)[:, :width]
 
@@ -187,9 +192,11 @@ def read_rle(data: bytes) -> CompressedDoc:
     """Parse RLC1 bytes into a CompressedDoc, validating every row.
 
     The rows are read in chunks of whole rows. Each chunk is first checked
-    as text: only digits, single spaces and newlines, and no empty token.
-    It is then tokenized by numpy and checked as a whole: no run above the
-    width (an int64 token saturates, so this also catches overlong ones),
+    as text: only digits, single spaces and newlines. Every token then ends
+    at a separator, and numpy adds up its digits, last digit first, into
+    the preallocated runs array. A token with more than ten significant
+    digits, more than any width has, is marked as above the width. The
+    chunk is checked as a whole: no empty token, no run above the width,
     every row summing to the width, and no zero run past the first of its
     row. A failed check is reported for the first bad row by `_row_error`,
     with the row's number.
@@ -205,34 +212,46 @@ def read_rle(data: bytes) -> CompressedDoc:
     count = data.count(b"\n", pos)
     if count != height:
         raise FormatError(f"got {count} run rows, expected {height}")
-    rows: list[RunRow] = []
+    # one token per separator, a space or a newline, the bytes below "0"
+    runs = np.empty(np.count_nonzero(np.frombuffer(data, dtype=np.uint8)[pos:] < ord("0")), dtype=np.int64)
+    offsets = np.zeros(height + 1, dtype=np.int64)
+    row = 0  # rows read so far
     while pos < len(data):
         stop = data.find(b"\n", min(pos + _CHUNK_BYTES, len(data) - 1))
         chunk = data[pos:stop]
+        if chunk.translate(None, b"0123456789 \n") or not (chunk[:1].isdigit() and chunk[-1:].isdigit()):
+            _row_error(chunk.split(b"\n"), row, width)
+        chars = np.frombuffer(data, dtype=np.uint8, count=stop + 1 - pos, offset=pos)
         pos = stop + 1
-        lines = chunk.split(b"\n")
-        chars = np.frombuffer(chunk, dtype=np.uint8)
+        ends = (chars < ord("0")).nonzero()[0]  # the separator after each token
+        lengths = np.diff(ends, prepend=-1) - 1
+        first = offsets[row]
+        tokens = runs[first : first + ends.size]
+        tokens[:] = chars[ends - 1] - ord("0")
+        place = 10
+        for digit in range(1, min(int(lengths.max()), 10)):
+            more = (lengths > digit).nonzero()[0]
+            tokens[more] += (chars[ends[more] - 1 - digit] - ord("0")).astype(np.int64) * place
+            place *= 10
+        long = (lengths > 10).nonzero()[0]
+        if long.size:
+            # zero padding is fine, any other digit before the last ten is not
+            nonzero = np.zeros(chars.size + 1, dtype=np.int64)  # nonzero digits before each byte
+            np.add.accumulate(chars > ord("0"), out=nonzero[1:])
+            high = nonzero[ends[long] - 10] - nonzero[ends[long] - lengths[long]]
+            tokens[long[high > 0]] = width + 1
+        row_ends = (chars[ends] == ord("\n")).nonzero()[0] + 1
+        row_starts = np.concatenate(([0], row_ends[:-1]))
         if (
-            chunk.translate(None, b"0123456789 \n")
-            or not (chunk[:1].isdigit() and chunk[-1:].isdigit())
-            # an empty token: two separators in a row, the only bytes left below "0"
-            or ((chars[1:] < ord("0")) & (chars[:-1] < ord("0"))).any()
+            not lengths.min()
+            or tokens.max() > width
+            or (np.add.reduceat(tokens, row_starts) != width).any()
+            or np.count_nonzero(tokens == 0) != np.count_nonzero(tokens[row_starts] == 0)
         ):
-            _row_error(lines, len(rows), width)
-        counts = [line.count(b" ") + 1 for line in lines]
-        row_starts = list(itertools.accumulate(counts[:-1], initial=0))
-        runs = np.fromstring(chunk, dtype=np.int64, sep=" ")
-        if (
-            runs.max() > width
-            or (np.add.reduceat(runs, row_starts) != width).any()
-            or np.count_nonzero(runs == 0) != np.count_nonzero(runs[row_starts] == 0)
-        ):
-            _row_error(lines, len(rows), width)
-        # islice, not list slices: a temporary list per row fragments the heap
-        # and raised the peak RSS of the CLI benchmark by about 1 MiB
-        flat = iter(runs.tolist())
-        rows.extend(tuple(itertools.islice(flat, n)) for n in counts)
-    return CompressedDoc._trusted(width, height, tuple(rows))
+            _row_error(chunk.split(b"\n"), row, width)
+        offsets[row + 1 : row + 1 + row_ends.size] = first + row_ends
+        row += row_ends.size
+    return CompressedDoc._trusted(width, height, runs, offsets)
 
 
 def _row_error(lines: list[bytes], first: int, width: int) -> NoReturn:
@@ -258,8 +277,32 @@ def _row_error(lines: list[bytes], first: int, width: int) -> NoReturn:
 
 def write_rle(doc: CompressedDoc) -> bytes:
     """Serialize a CompressedDoc as RLC1 bytes (canonical, newline per row,
-    no trailing whitespace)."""
-    lines = [RLC_MAGIC, f"{doc.width} {doc.height}"]
-    # a list of str(r) joins faster than map(str, row) or a generator on CPython 3.11
-    lines.extend(" ".join([str(r) for r in row]) for row in doc.rows)
-    return ("\n".join(lines) + "\n").encode("ascii")
+    no trailing whitespace).
+
+    Digits are written by array operations, one pass per decimal place, in
+    chunks of rows of about `_CHUNK_BYTES` runs each."""
+    parts = [f"{RLC_MAGIC}\n{doc.width} {doc.height}\n".encode("ascii")]
+    step = max(1, _CHUNK_BYTES * doc.height // max(doc.total_runs(), 1))
+    for top in range(0, doc.height, step):
+        bottom = min(top + step, doc.height)
+        first, last = doc.offsets[top], doc.offsets[bottom]
+        runs = doc.runs[first:last]
+        # each run takes its digits and one separator
+        ends = np.full(runs.size, 2, dtype=np.int64)
+        place, largest = 10, runs.max()
+        while place <= largest:
+            ends += runs >= place
+            place *= 10
+        np.add.accumulate(ends, out=ends)
+        ends -= 1
+        text = np.full(ends[-1] + 1, ord(" "), dtype=np.uint8)
+        text[ends[doc.offsets[top + 1 : bottom + 1] - 1 - first]] = ord("\n")
+        # digits from the last: each pass keeps the runs with digits left
+        value, where = runs, ends - 1
+        while value.size:
+            value, digit = np.divmod(value, 10)
+            text[where] = digit + ord("0")
+            more = value.nonzero()[0]
+            value, where = value[more], where[more] - 1
+        parts.append(text.tobytes())
+    return b"".join(parts)

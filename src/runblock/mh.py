@@ -34,6 +34,7 @@ and premature stream ends all raise FormatError with a bit offset.
 
 from __future__ import annotations
 
+from array import array
 from typing import Sequence
 
 import numpy as np
@@ -338,7 +339,9 @@ def mh_decode_image(
     win = _windows(data)
     nbits = 8 * len(data)
     pos = 0
-    rows = []
+    # grown row by row, so a stream that ends early costs no more than it holds
+    runs = array("q")  # every row's runs back to back
+    offsets = array("q", [0])
     for number in range(1, height + 1):
         if eol:
             pos = _expect_eol(win, nbits, pos, number)
@@ -351,7 +354,10 @@ def mh_decode_image(
             row, pos = _decode_row_at(win, nbits, width, pos)
         except FormatError as exc:
             raise FormatError(f"row {number}: {exc}") from None
-        rows.append(row)
+        runs.extend(row)
+        offsets.append(len(runs))
     if nbits - pos >= 8 or win[pos]:
         raise FormatError(f"trailing data after the last row at bit {pos}")
-    return CompressedDoc._trusted(width, height, tuple(rows))
+    return CompressedDoc._trusted(
+        width, height, np.frombuffer(runs, dtype=np.int64), np.frombuffer(offsets, dtype=np.int64)
+    )

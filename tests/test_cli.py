@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from runblock import (
 from runblock.cli import main
 
 from helpers import random_grid, text_like_doc
+from test_extract import reference_visits
 
 
 @pytest.fixture
@@ -45,6 +47,18 @@ def run_quiet(argv):
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     return code, err.getvalue()
+
+
+def refuse_large_arrays(monkeypatch, limit=1 << 24):
+    """Make numpy's allocators raise on a request for more than `limit`
+    elements, so that a test sees a large allocation without making it."""
+    for name in ("empty", "zeros", "ones", "full"):
+        def guarded(shape, *args, _real=getattr(np, name), _name=name, **kwargs):
+            if math.prod(np.atleast_1d(shape).tolist()) > limit:
+                raise AssertionError(f"np.{_name}({shape!r}) is a large allocation")
+            return _real(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, guarded)
 
 
 def assert_clean_exit(code, err, codes=(0, 2, 3, 4)):
@@ -155,6 +169,59 @@ class TestEncodeDecode:
         assert code == 3
         assert "row 1" in err
 
+    def test_decode_beyond_pixel_budget_exits_2_before_allocating(self, tmp_path, capsys, monkeypatch):
+        # 2000000000 x 1 pixels declared in 29 bytes: a 1.86 GiB grid
+        huge = tmp_path / "huge.rlc"
+        huge.write_bytes(b"RLC1\n2000000000 1\n2000000000\n")
+        assert len(huge.read_bytes()) == 29
+        refuse_large_arrays(monkeypatch)
+        code, stdout, err = run(capsys, "decode", huge, tmp_path / "o.pbm")
+        assert (code, stdout) == (2, "")
+        assert err == (
+            "runblock: error: 2000000000 x 1 pixels exceed the pixel budget of 268435456\n"
+        )
+        assert not (tmp_path / "o.pbm").exists()
+
+    def test_tall_fax_fails_on_its_data_before_allocating(self, tmp_path, capsys, monkeypatch):
+        # 1 x 268435456 pixels is within the budget; the rows' offsets must
+        # not be sized from the declared height before any row is read
+        fax = tmp_path / "tall.mh"
+        fax.write_bytes(b"\x00")
+        refuse_large_arrays(monkeypatch)
+        argv = ["decode", fax, tmp_path / "o.pbm", "--width", 1, "--height", 268435456]
+        code, stdout, err = run(capsys, *argv, "--eol", "forbidden")
+        assert (code, stdout) == (3, "")
+        assert err.startswith("runblock: error: row 1: ")
+
+    def test_pixel_budget_applies_to_every_pixel_path(self, worked_doc, tmp_path, capsys, monkeypatch):
+        # the 8 x 2 fixture is 16 pixels: a budget of 15 refuses it, 16 takes it
+        pbm = tmp_path / "doc.pbm"
+        pbm.write_bytes(write_pbm(decode_image(read_rle(worked_doc.read_bytes()))))
+        plain = tmp_path / "doc.p1"
+        plain.write_bytes(write_pbm(decode_image(read_rle(worked_doc.read_bytes())), plain=True))
+        fax = tmp_path / "doc.mh"
+        fax.write_bytes(mh_encode_image(read_rle(worked_doc.read_bytes()), eol=False))
+        rect = ["--x1", 1, "--x2", 2, "--y1", 1, "--y2", 8]
+        commands = [
+            ["decode", worked_doc, tmp_path / "o.pbm"],
+            ["decode", fax, tmp_path / "o.pbm", "--width", 8, "--height", 2, "--eol", "forbidden"],
+            ["encode", pbm, tmp_path / "o.rlc"],
+            ["info", plain],
+            ["extract", worked_doc, tmp_path / "o.pbm", *rect, "--decode-output"],
+            ["evaluate", worked_doc, worked_doc, "--mode", "pixel"],
+            ["evaluate", pbm, pbm, "--mode", "compressed"],
+        ]
+        for argv in commands:
+            monkeypatch.setattr("runblock.core.MAX_PIXELS", 15)
+            code, _, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert "pixel budget of 15" in err
+            monkeypatch.setattr("runblock.core.MAX_PIXELS", 16)
+            assert run(capsys, *argv)[0] == 0, argv
+        # run-domain work holds no grid, so the budget leaves it alone
+        monkeypatch.setattr("runblock.core.MAX_PIXELS", 1)
+        assert run(capsys, "extract", worked_doc, tmp_path / "o.rlc", *rect)[0] == 0
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "info", tmp_path / "nope.rlc")
         assert code == 2
@@ -238,7 +305,8 @@ class TestExtract:
         report = json.loads(stdout)
         assert report["schema"] == "runblock-report/1"
         assert report["counters"]["rows"] == 2
-        assert report["counters"]["runs_visited"] == 4
+        worked = CompressedDoc.from_rows([(4, 4), (4, 4)])
+        assert report["counters"]["runs_visited"] == reference_visits(worked, BlockSpec(1, 2, 3, 6))
         assert "elapsed_seconds" not in report
 
     def test_pbm_input_accepted(self, tmp_path, capsys):
@@ -278,6 +346,20 @@ class TestCharacterize:
         assert code == 0
         assert stdout.startswith("absolute")
         assert "density=" in stdout
+
+    def test_doc_rectangle_checked_from_header_before_body_parse(self, worked_doc, tmp_path, capsys):
+        # a rectangle outside the document and a corrupt document body: the
+        # rectangle wins with exit 2, as it does for extract
+        bad = tmp_path / "bad.rlc"
+        bad.write_bytes(b"RLC1\n8 2\n3 3\n4 4\n")
+        argv = [bad, "--x1", 1, "--x2", 3, "--y1", 1, "--y2", 8]
+        code, _, err = run(capsys, "characterize", worked_doc, "--doc", *argv)
+        assert (code, err) == (2, "runblock: error: x2 (3) exceeds image height 2\n")
+        assert run(capsys, "extract", bad, tmp_path / "o.rlc", *argv[1:]) == (code, "", err)
+        # inside the rectangle, the corrupt body is reported
+        code, _, err = run(capsys, "characterize", worked_doc, "--doc", bad, "--x1", 1, "--x2", 2,
+                           "--y1", 1, "--y2", 8)
+        assert (code, err) == (3, "runblock: error: row 1: runs sum to 6, expected width 8\n")
 
     def test_block_doc_mismatch_exits_4(self, worked_doc, tmp_path, capsys):
         other = tmp_path / "other.rlc"
@@ -404,6 +486,13 @@ def test_version_flag(capsys):
 
 def test_timing_flag_adds_elapsed(worked_doc, capsys):
     code, stdout, _ = run(capsys, "characterize", worked_doc, "--json", "--timing")
+    assert code == 0
+    assert "elapsed_seconds" in json.loads(stdout)
+
+
+def test_common_options_before_the_command(worked_doc, tmp_path, capsys):
+    # an option given before the command is not reset by the command's defaults
+    code, stdout, _ = run(capsys, "--timing", "characterize", worked_doc, "--json")
     assert code == 0
     assert "elapsed_seconds" in json.loads(stdout)
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,6 +80,62 @@ def _enumerate_bounds(row, y1, y2):
     return p1, edges[p1 - 1] - y1 + 1, p2, edges[p2 - 1] - y2
 
 
+def _advance(runs, j, run_sum, column, which):
+    """Linear scan forward to `column` over the (index, length) pairs left
+    in `runs`, from run j with cumulative sum `run_sum`."""
+    if run_sum >= column:
+        return j, run_sum
+    for j, length in runs:
+        run_sum += length
+        if run_sum >= column:
+            return j, run_sum
+    raise ValidationError(f"{which} column {column} is beyond the row width {run_sum}")
+
+
+def linear_scan_record(row, y1, y2):
+    """Boundary record from one left-to-right scan of the row, the end
+    search resuming where the start search stopped: the reference for the
+    binary searches."""
+    runs = enumerate(row, 1)
+    p1, start_sum = _advance(runs, 0, 0, y1, "start")
+    p2, end_sum = _advance(runs, p1, start_sum, y2, "end")
+    return BoundaryRecord(p1, start_sum - y1 + 1, p2, end_sum - y2)
+
+
+def reference_trim(row, rec):
+    """The block's part of one row, cut run by run."""
+    p1, r1, p2, r2 = rec.start_run, rec.start_residue, rec.end_run, rec.end_residue
+    out = (r1 - r2,) if p1 == p2 else (r1, *row[p1 : p2 - 1], row[p2 - 1] - r2)
+    return (0, *out) if p1 % 2 == 0 else out
+
+
+def reference_visits(doc, spec):
+    """Distinct run entries that a scalar binary search reads per row: a
+    search for y1 over the row's runs, then one for y2 from the start run.
+    Each search reads every probe and the run it settles on."""
+    total = 0
+    for i in range(spec.x1 - 1, spec.x2):
+        row = doc.rows[i]
+        sums = list(itertools.accumulate(row))
+        seen = set()
+
+        def search(lo, column):
+            hi = len(row) - 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                seen.add(mid)
+                if sums[mid] >= column:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            seen.add(lo)
+            return lo
+
+        search(search(0, spec.y1), spec.y2)
+        total += len(seen)
+    return total
+
+
 def test_locate_agrees_with_column_enumeration():
     rng = np.random.default_rng(42)
     for _ in range(200):
@@ -120,8 +178,8 @@ class TestPositionTable:
             assert rec.end_residue == 0
 
     def test_table_and_visits_of_extraction(self):
-        """The position table and the extraction share one scan, which
-        visits exactly `end_run` runs per row."""
+        """The position table and the extraction share one search, whose
+        visits are those of a scalar binary search."""
         rng = np.random.default_rng(10)
         for _ in range(4):
             doc = text_like_doc(rng, 40, 300)
@@ -133,7 +191,7 @@ class TestPositionTable:
             for spec in specs:
                 _, table, stats = extract_block_detailed(doc, spec)
                 assert build_position_table(doc, spec) == table
-                assert stats.runs_visited == sum(r.end_run for r in table)
+                assert stats.runs_visited == reference_visits(doc, spec)
                 for rec, i in zip(table, range(spec.x1 - 1, spec.x2)):
                     assert (rec.start_run, rec.start_residue, rec.end_run, rec.end_residue) == (
                         _enumerate_bounds(doc.rows[i], spec.y1, spec.y2)
@@ -230,6 +288,33 @@ class TestExtractBlock:
         spec = random_spec(rng, doc)
         block = extract_block(doc, spec)
         assert all(sum(row) == spec.width for row in block.rows)
+
+
+def test_extraction_equals_linear_scan_reference():
+    """Blocks, position tables and visit counts equal the tests-side linear
+    scan, run-by-run trim and scalar binary search, on text and random
+    pages with one row, one column, leading-zero rows and many rows."""
+    rng = np.random.default_rng(62)
+    docs = [
+        text_like_doc(rng, 1, 300),
+        text_like_doc(rng, 50, 1),
+        CompressedDoc.from_rows([(0, 3, 2), (0, 5), (5,), (2, 3)]),
+        *(text_like_doc(rng, 40, 200) for _ in range(3)),
+        *(random_doc(rng, 1, 80) for _ in range(20)),
+    ]
+    for doc in docs:
+        specs = [random_spec(rng, doc) for _ in range(8)] + [BlockSpec(1, doc.height, 1, doc.width)]
+        for spec in specs:
+            block, table, stats = extract_block_detailed(doc, spec)
+            records = [linear_scan_record(doc.rows[i], spec.y1, spec.y2)
+                       for i in range(spec.x1 - 1, spec.x2)]
+            assert table == records == build_position_table(doc, spec)
+            assert extract_block(doc, spec) == block
+            assert block.rows == tuple(
+                reference_trim(doc.rows[i], rec) for i, rec in zip(range(spec.x1 - 1, spec.x2), records)
+            )
+            assert stats.runs_visited == reference_visits(doc, spec)
+            assert stats.runs_emitted == block.total_runs()
 
 
 def test_all_specs_on_small_docs():

@@ -24,7 +24,71 @@ from runblock import (
     transitions_in_row,
 )
 
-from helpers import random_doc, random_spec
+from helpers import random_doc, random_spec, text_like_doc
+
+
+def _log(x, base):
+    if base == 2.0:
+        return math.log2(x)
+    if base == 10.0:
+        return math.log10(x)
+    if base == math.e:
+        return math.log(x)
+    return math.log(x) / math.log(base)
+
+
+def reference_features(block, ctx):
+    """(density, ceq, seq) by loops over the tuple rows, one term at a
+    time, in the order of the feature definitions: the scalar reference
+    that the array features must equal bit for bit."""
+    if ctx.mode == "absolute":
+        m, n = block.height, block.width
+        row_offset = col_offset = 0
+    else:
+        m, n = ctx.doc_dims
+        row_offset, col_offset = ctx.block_origin[0] - 1, ctx.block_origin[1] - 1
+    base = ctx.log_base
+    ceq_total = seq_total = 0.0
+    ink = sum(sum(row[1::2]) for row in block.rows)
+    for local_row, row in enumerate(block.rows, 1):
+        transitions = len(row) - (1 if row[0] == 0 else 0) - 1
+        p = transitions / n
+        if 0.0 < p < 1.0:
+            ceq_total += p * _log(1.0 / p, base) + (1.0 - p) * _log(1.0 / (1.0 - p), base)
+        else:
+            ceq_total += 0.0
+        weight = (row_offset + local_row) / m
+        run_sum = 0
+        for length in row[:-1]:
+            run_sum += length
+            if run_sum > 0:
+                pos = col_offset + run_sum
+                seq_total += weight * (
+                    (pos / n) * _log(n / pos, base) + (m - pos / n) * _log(m / (m + n - pos), base)
+                )
+    return ink / (m * n), ceq_total, seq_total
+
+
+def test_features_equal_scalar_reference_exactly():
+    """density, ceq and seq are == (not approximately equal) to the scalar
+    loops, on whole text and random pages and on blocks cut from them, in
+    both modes and all three bases."""
+    rng = np.random.default_rng(18)
+    for k in range(40):
+        doc = text_like_doc(rng, 60, 300) if k % 4 == 0 else random_doc(rng, 1, 120)
+        spec = BlockSpec(1, doc.height, 1, doc.width) if k % 5 == 0 else random_spec(rng, doc)
+        block = extract_block(doc, spec)
+        for base in (2.0, math.e, 10.0):
+            contexts = [
+                FeatureContext.absolute(block, log_base=base),
+                FeatureContext.relative(
+                    block, doc_dims=(doc.height, doc.width), block_origin=(spec.x1, spec.y1), log_base=base
+                ),
+            ]
+            for ctx in contexts:
+                got = (density(block, ctx), ceq(block, ctx), seq(block, ctx))
+                assert got == reference_features(block, ctx)
+                assert all(type(v) is float for v in got)
 
 
 def test_transitions_in_row():

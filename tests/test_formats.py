@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from runblock import (
     CompressedDoc,
@@ -215,6 +217,16 @@ class TestRle:
         with pytest.raises(FormatError, match=r"^row 1: runs sum to 200000000000000000008, expected width 8$"):
             read_rle(b"RLC1\n8 1\n99999999999999999999 99999999999999999999 10\n")
 
+    def test_long_run_with_only_its_first_digit_set(self):
+        # 11 digits whose last ten read 8: the leading 1 still counts
+        for row in (b"10000000008", b"4 10000000004"):
+            data = b"RLC1\n8 1\n" + row + b"\n"
+            total = sum(int(t) for t in row.split())
+            with pytest.raises(FormatError, match=rf"^row 1: runs sum to {total}, expected width 8$"):
+                read_rle(data)
+            assert outcome(reference_read_rle, data) == outcome(read_rle, data)
+        assert read_rle(b"RLC1\n8 1\n00000000000000000008\n").rows == ((8,),)
+
     def test_rows_are_tuples_of_python_ints(self):
         doc = read_rle(b"RLC1\n8 2\n4 4\n0 3 5\n")
         assert doc.rows == ((4, 4), (0, 3, 5))
@@ -283,6 +295,29 @@ def test_mutated_files_match_reference():
                 del data[pos]
         data = bytes(data)
         assert outcome(read_rle, data) == outcome(reference_read_rle, data), data
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.lists(
+        st.lists(
+            st.tuples(st.integers(0, 12), st.one_of(st.integers(0, 50), st.integers(0, 10**25))),
+            min_size=1,
+            max_size=5,
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_zero_padded_and_long_tokens_match_reference(width, rows):
+    """Tokens of up to 38 digits, zero-padded or not, give the reference
+    reader's documents and diagnostics."""
+    text = b"\n".join(
+        b" ".join(b"0" * zeros + str(value).encode() for zeros, value in row) for row in rows
+    )
+    data = b"RLC1\n%d %d\n" % (width, len(rows)) + text + b"\n"
+    assert outcome(read_rle, data) == outcome(reference_read_rle, data)
 
 
 def test_pipeline_pbm_rle_pbm_is_identity():

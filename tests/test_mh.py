@@ -11,7 +11,7 @@ from runblock import (
     mh_encode_image,
     mh_encode_row,
 )
-from runblock.core import canonicalize_row, is_canonical
+from runblock.core import _one_row, canonicalize_row, is_canonical
 from runblock.mh import (
     BLACK_MAKEUP,
     BLACK_TERMINATING,
@@ -395,7 +395,7 @@ class TestEncodeMatchesReference:
         with pytest.raises(ValidationError, match="not canonical"):
             mh_encode_row((-1, 5))
         # the run coder's own check, on a document that skipped validation
-        doc = CompressedDoc._trusted(4, 1, ((-1, 5),))
+        doc = _one_row((-1, 5))
         with pytest.raises(ValidationError, match="negative run length -1"):
             mh_encode_image(doc, eol=False)
 
