@@ -13,6 +13,7 @@ unless --timing is given).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -373,9 +374,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: it holds nothing of the inputs,
+    and each parse starts from a new namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     args._t0 = time.monotonic()
     try:
         return args.func(args)

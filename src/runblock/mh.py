@@ -11,12 +11,17 @@ Codewords travel as integers. The encoder looks up the (code, bit count)
 pair of each codeword and packs the pairs into an integer, from which it
 moves whole bytes out as it grows. The decoder first computes, for every
 bit position of the stream, the 13 bits that start there (zero past the
-end), then reads each codeword with one lookup of that window in a
-per-color table of 8192 entries, which gives the code length, the run
-value and whether the code ends the run. The codes are prefix-free, so the
-zero-padded window names exactly the codeword a bit-by-bit search would
-find. `mh_encode_row` and `mh_decode_row` keep a '0'/'1' string interface
-over the same code.
+end). The codes are prefix-free, so a lookup of the zero-padded window
+names exactly the codeword a bit-by-bit search would find. Each step of
+the decoder looks the window up in a per-color table of 8192 entries that
+covers every whole terminating code in it, colors alternating, and takes
+them all at once: on text rows, three or four codes a step. A window that
+starts with a make-up code, or whose codes would reach the end of the row
+or of the stream, is read one codeword at a time instead, with a per-color
+table of (code length, run value, is terminating), which also gives every
+diagnosis. The loop records one key per step; after the last row, one
+numpy gather turns the keys into the document's runs. `mh_encode_row` and
+`mh_decode_row` keep a '0'/'1' string interface over the same code.
 
 At the image level bits are packed into bytes MSB-first with two framing
 options:
@@ -34,6 +39,8 @@ and premature stream ends all raise FormatError with a bit offset.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from array import array
 from typing import Sequence
 
@@ -257,26 +264,129 @@ def _decode_run(bits: str, pos: int, white: bool) -> tuple[int, int]:
     return _run_at(_bit_string_windows(bits), len(bits), pos, white)
 
 
-def _decode_row_at(win, nbits: int, width: int, pos: int) -> tuple[RunRow, int]:
-    runs = []
+# A row decodes as one key per step of the loop. A key of 0 or more is
+# `color << _PEEK | window`, with color 0 for white and 1 for black; it
+# stands for the whole terminating codes at the start of that window,
+# colors alternating. A negative key is `~length`, one run decoded code by
+# code. `_gather` turns the keys into runs once all rows are read.
+_BLACK = 1 << _PEEK
+# At most 4 whole terminating codes fit in a window: white codes take 4 bits
+# or more and black codes 2 or more, so 5 take at least 2 + 4 + 2 + 4 + 2 = 14.
+_SLOTS = 4
+# A step of the loop packs, per key, `bits used << _STEP_BITS | color flip |
+# pixel sum`: the flip is 0 or _BLACK, and the sum of 4 runs of at most 63
+# pixels stays below _BLACK.
+_STEP_BITS = _PEEK + 1
+_STEP_PIXELS = _BLACK - 1
+
+
+@functools.cache
+def _window_tables() -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The whole terminating codes at the start of every window.
+
+    For each key, codes are read from the window's first bit, in the key's
+    color and then alternating, up to the first code that is not
+    terminating or does not end inside the window. Returns, per key:
+
+    * steps: the packed step, where a key without such a code uses more
+      bits than any stream holds, so that the loop falls back to `_run_at`;
+    * slot_runs: the run of each code, by slot;
+    * counts: the number of codes.
+
+    `slot_runs` and `counts` have one more row, for the key of a single run:
+    one code, whose run `_gather` fills in.
+    """
+    # the length and run of the terminating code that starts each window, by
+    # color; a window that starts none gets a length longer than the window
+    lengths = np.full((2, 1 << _PEEK), _PEEK + 1, dtype=np.int32)
+    values = np.zeros((2, 1 << _PEEK), dtype=np.int32)
+    for color, terminating in enumerate((WHITE_TERMINATING, BLACK_TERMINATING)):
+        for value, code in enumerate(terminating):
+            span = 1 << (_PEEK - len(code))
+            start = int(code, 2) * span
+            lengths[color, start : start + span] = len(code)
+            values[color, start : start + span] = value
+    keys = np.arange(2 << _PEEK, dtype=np.int32)
+    window = keys & (1 << _PEEK) - 1
+    color = keys >> _PEEK
+    used = np.zeros_like(keys)
+    counts = np.zeros_like(keys)
+    slot_runs = np.zeros((keys.size + 1, _SLOTS), dtype=np.uint8)
+    reading = np.ones(keys.size, dtype=bool)
+    for slot in range(_SLOTS):
+        rest = window << used & (1 << _PEEK) - 1  # the bits after `used`, zero filled
+        n = lengths[color, rest]
+        reading &= used + n <= _PEEK
+        slot_runs[:-1, slot] = np.where(reading, values[color, rest], 0)
+        used += np.where(reading, n, 0)
+        counts += reading
+        color ^= reading
+    # 2**48 bits, more than any stream holds, and the packed step fits in 64 bits
+    bits = used.astype(np.int64)
+    bits[counts == 0] = _NO_CODE[0] >> _STEP_BITS
+    steps = bits << _STEP_BITS | (counts & 1) << _PEEK | slot_runs[:-1].sum(axis=1, dtype=np.int64)
+    # one int object per distinct step: the keys share a few hundred
+    distinct = {}
+    steps = [distinct.setdefault(step, step) for step in steps.tolist()]
+    return steps, slot_runs, np.append(counts, 1).astype(np.uint8)
+
+
+def _decode_row_at(win, nbits: int, width: int, pos: int, keys: array) -> int:
+    """Decode one row at `pos`, appending its keys to `keys`.
+
+    Returns the new position."""
+    steps = _window_tables()[0]
+    append = keys.append
     total = 0
-    table, other = _WHITE_DECODE, _BLACK_DECODE
+    color = 0
     while total < width:
-        n, length, terminating = table[win[pos]]
-        if terminating and pos + n <= nbits:
-            pos += n  # the common case: one terminating code
+        key = color | win[pos]
+        step = steps[key]
+        pixels = step & _STEP_PIXELS
+        bits = step >> _STEP_BITS
+        # whole codes that leave the row open: the common case
+        if total + pixels < width and pos + bits <= nbits:
+            total += pixels
+            pos += bits
+            color ^= step & _BLACK
+            append(key)
         else:
-            length, pos = _run_at(win, nbits, pos, table is _WHITE_DECODE)
-        runs.append(length)
-        total += length
-        table, other = other, table
+            length, pos = _run_at(win, nbits, pos, not color)
+            total += length
+            color ^= _BLACK
+            append(~length)
     if total > width:
         raise FormatError(f"runs overrun the declared width {width} ({total} pixels)")
-    if 0 in runs[1:]:
+    return pos
+
+
+def _gather(keys: array, row_ends: list) -> tuple[np.ndarray, np.ndarray]:
+    """(runs, offsets) of decoded rows, from their keys and the number of
+    keys at the end of each row. Rows with a zero run after their first
+    are canonicalized."""
+    _, slot_runs, counts = _window_tables()
+    # the keys become table rows in place, in the buffer of `keys`
+    index = np.frombuffer(keys, dtype=np.int64)
+    single = index < 0
+    lengths = ~index[single]
+    index[single] = len(counts) - 1
+    key_counts = counts.take(index)
+    ends = np.cumsum(key_counts, dtype=np.int64)
+    runs = slot_runs.take(index, axis=0)[np.arange(_SLOTS) < key_counts[:, None]].astype(np.int64)
+    runs[ends[single] - 1] = lengths
+    offsets = np.concatenate(([0], ends))[row_ends]
+    zeros = np.flatnonzero(runs == 0)
+    rows_of_zeros = np.searchsorted(offsets, zeros, side="right") - 1
+    split = rows_of_zeros[zeros != offsets[rows_of_zeros]]
+    if split.size:
         # foreign encoders may split very long runs with zero-length
         # terminators; normalizing keeps the background-first canonical form
-        return canonicalize_row(runs), pos
-    return tuple(runs), pos
+        rows = np.split(runs, offsets[1:-1])
+        for i in set(split.tolist()):
+            rows[i] = canonicalize_row(rows[i])
+        runs = np.concatenate(rows).astype(np.int64)
+        offsets = np.array([0, *itertools.accumulate(map(len, rows))], dtype=np.int64)
+    return runs, offsets
 
 
 def mh_encode_row(row: Sequence[int]) -> str:
@@ -290,10 +400,11 @@ def mh_encode_row(row: Sequence[int]) -> str:
 
 def mh_decode_row(bits: str, width: int) -> RunRow:
     """Decode a single row's codewords; all bits must be consumed."""
-    row, pos = _decode_row_at(_bit_string_windows(bits), len(bits), width, 0)
+    keys = array("q")
+    pos = _decode_row_at(_bit_string_windows(bits), len(bits), width, 0, keys)
     if pos != len(bits):
         raise FormatError(f"{len(bits) - pos} unconsumed bits after the row")
-    return row
+    return tuple(_gather(keys, [0, len(keys)])[0].tolist())
 
 
 def mh_encode_image(doc: CompressedDoc, *, eol: bool, byte_align: bool = False) -> bytes:
@@ -340,8 +451,8 @@ def mh_decode_image(
     nbits = 8 * len(data)
     pos = 0
     # grown row by row, so a stream that ends early costs no more than it holds
-    runs = array("q")  # every row's runs back to back
-    offsets = array("q", [0])
+    keys = array("q")
+    row_ends = [0]
     for number in range(1, height + 1):
         if eol:
             pos = _expect_eol(win, nbits, pos, number)
@@ -351,13 +462,11 @@ def mh_decode_image(
                 raise FormatError(f"nonzero padding bits before row {number}")
             pos += fill
         try:
-            row, pos = _decode_row_at(win, nbits, width, pos)
+            pos = _decode_row_at(win, nbits, width, pos, keys)
         except FormatError as exc:
             raise FormatError(f"row {number}: {exc}") from None
-        runs.extend(row)
-        offsets.append(len(runs))
+        row_ends.append(len(keys))
     if nbits - pos >= 8 or win[pos]:
         raise FormatError(f"trailing data after the last row at bit {pos}")
-    return CompressedDoc._trusted(
-        width, height, np.frombuffer(runs, dtype=np.int64), np.frombuffer(offsets, dtype=np.int64)
-    )
+    del win  # two bytes per bit of input, not needed to build the runs
+    return CompressedDoc._trusted(width, height, *_gather(keys, row_ends))

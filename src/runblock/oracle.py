@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import zip_longest
 
 import numpy as np
 
@@ -69,11 +68,18 @@ def accuracy_compressed(a: CompressedDoc, b: CompressedDoc) -> AccuracyResult:
         raise ValidationError(f"heights differ: {a.height} vs {b.height}")
     if a.width != b.width:
         raise ValidationError(f"widths differ: {a.width} vs {b.width}")
-    mismatch = 0
-    for row_a, row_b in zip(a.rows, b.rows):
-        for ra, rb in zip_longest(row_a, row_b, fillvalue=0):
-            mismatch += abs(ra - rb)
-    area = a.height * sum(a.rows[0])
+    common = np.minimum(np.diff(a.offsets), np.diff(b.offsets))
+    # the entries both rows hold, gathered row after row
+    entry = np.arange(int(common.sum()))
+    first = np.cumsum(common) - common  # of each row's entries in `entry`
+    at_a = entry + np.repeat(a.offsets[:-1] - first, common)
+    at_b = entry + np.repeat(b.offsets[:-1] - first, common)
+    mismatch = int(np.abs(a.runs[at_a] - b.runs[at_b]).sum())
+    # the longer row's tail meets zero-length runs: it adds its own sum
+    for doc in (a, b):
+        sums = np.concatenate(([0], np.cumsum(doc.runs)))
+        mismatch += int((sums[doc.offsets[1:]] - sums[doc.offsets[:-1] + common]).sum())
+    area = a.height * int(a.runs[a.offsets[0] : a.offsets[1]].sum())
     pct = max((1.0 - mismatch / area) * 100.0, 0.0)
     return AccuracyResult(percentage=pct, mode=COMPRESSED)
 

@@ -21,6 +21,7 @@ from runblock import (
     write_pbm,
     write_rle,
 )
+from runblock import cli
 from runblock.cli import main
 
 from helpers import random_grid, text_like_doc
@@ -495,6 +496,28 @@ def test_common_options_before_the_command(worked_doc, tmp_path, capsys):
     code, stdout, _ = run(capsys, "--timing", "characterize", worked_doc, "--json")
     assert code == 0
     assert "elapsed_seconds" in json.loads(stdout)
+
+
+def test_calls_share_one_parser_and_nothing_else(worked_doc, monkeypatch, capsys):
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    cli._parser.cache_clear()
+    reports = []
+    for argv in (
+        ["--timing", "characterize", worked_doc, "--json", "--log-base", "2"],
+        ["info", worked_doc, "--json"],
+        ["characterize", worked_doc, "--json"],
+        ["info", worked_doc, "--json", "--timing"],
+    ):
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0
+        reports.append(json.loads(stdout))
+    assert len(builds) == 1
+    assert [r["command"] for r in reports] == ["characterize", "info", "characterize", "info"]
+    # --timing and --log-base hold for the call that gives them only
+    assert ["elapsed_seconds" in r for r in reports] == [True, False, False, True]
+    assert [reports[0]["log_base"], reports[2]["log_base"]] == ["2", "e"]
 
 
 # Every command's argv on a mutated input: {inp} is the mutated file, {orig}

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from runblock import (
     CompressedDoc,
@@ -19,8 +21,16 @@ from runblock.mh import (
     EXTENDED_MAKEUP,
     WHITE_MAKEUP,
     WHITE_TERMINATING,
+    _BLACK,
+    _BLACK_DECODE,
+    _PEEK,
+    _SLOTS,
+    _STEP_BITS,
+    _STEP_PIXELS,
+    _WHITE_DECODE,
     _decode_run,
     _encode_run,
+    _window_tables,
 )
 
 from helpers import letter_like_doc, random_grid, text_like_doc, text_like_row
@@ -565,3 +575,85 @@ class TestDecodeMatchesReference:
         with pytest.raises(FormatError) as exc:
             ref_decode_row_at(bits, 4000, 0)
         assert str(exc.value) == message
+
+
+def test_window_tables_match_codeword_steps():
+    # every key against a decode of its window one codeword at a time
+    steps, slot_runs, counts = _window_tables()
+    assert len(steps) == 2 << _PEEK
+    for key, step in enumerate(steps):
+        window, black = key & (1 << _PEEK) - 1, key >> _PEEK
+        used, runs = 0, []
+        while True:
+            table = _BLACK_DECODE if black else _WHITE_DECODE
+            n, value, terminating = table[window << used & (1 << _PEEK) - 1]
+            if not terminating or used + n > _PEEK:
+                break
+            used += n
+            runs.append(value)
+            black ^= 1
+        assert counts[key] == len(runs), key
+        assert slot_runs[key].tolist() == runs + [0] * (_SLOTS - len(runs)), key
+        assert step & _STEP_PIXELS == sum(runs), key
+        assert step & _BLACK == (len(runs) % 2) * _BLACK, key
+        if runs:
+            assert step >> _STEP_BITS == used, key
+        else:
+            # so that the decoder falls back to one run for any stream
+            assert step >> _STEP_BITS >= 2**48, key
+    # the key of a single run, filled in by the decoder
+    assert counts[-1] == 1 and not slot_runs[-1].any()
+
+
+@st.composite
+def foreign_rows(draw, width):
+    """A run list summing to `width`, in the order of its codes, which may
+    hold zero-length runs anywhere: a foreign encoder's row. Multiples of 64
+    end in a make-up code and a zero-length terminating code."""
+    lengths = draw(st.lists(
+        st.one_of(
+            st.just(0), st.integers(0, 12), st.integers(0, 63), st.integers(64, 2700),
+            st.integers(1, 40).map(lambda k: 64 * k),
+        ),
+        max_size=24,
+    ))
+    runs, total = [], 0
+    for length in lengths:
+        length = min(length, width - total)
+        runs.append(length)
+        total += length
+        if total == width:
+            break
+    if total < width:
+        runs.append(width - total)
+    return runs
+
+
+@st.composite
+def mh_streams(draw):
+    """(data, width, height, eol, byte_align): a framed stream of foreign
+    rows, whole or cut inside its last 13 bits."""
+    eol, byte_align = draw(st.sampled_from(FRAMINGS))
+    # narrow rows end inside a window; wide ones take make-up codes mid-row
+    width = draw(st.one_of(st.integers(1, 40), st.integers(41, 6000)))
+    height = draw(st.integers(1, 4))
+    rows = [draw(foreign_rows(width)) for _ in range(height)]
+    codewords = [
+        [code for i, length in enumerate(row) for code in ref_codewords(length, i % 2 == 0)]
+        for row in rows
+    ]
+    bits = "".join(ref_frame(codewords, eol, byte_align)[:-1])  # without the final pad
+    cut = draw(st.sampled_from([0, 0, *range(1, 14)]))
+    return pack(bits[: len(bits) - cut]), width, height, eol, byte_align
+
+
+@settings(max_examples=400, deadline=None)
+@given(mh_streams())
+# a row (67, 2) ends on black 2, whose 2-bit code shares a window with the
+# next row's white 0: the window may not run past the end of the row
+@example((pack(WHITE_MAKEUP[64] + WHITE_TERMINATING[3] + BLACK_TERMINATING[2]
+               + WHITE_TERMINATING[0] + BLACK_TERMINATING[5]), 69, 2, False, False))
+def test_decoder_matches_reference_on_foreign_streams(stream):
+    data, width, height, eol, byte_align = stream
+    expected = outcome(ref_decode_image, data, width, height, eol, byte_align)
+    assert outcome(mh_decode_image, data, width, height, eol, byte_align) == expected

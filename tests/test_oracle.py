@@ -1,7 +1,12 @@
+from itertools import zip_longest
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from runblock import (
+    AccuracyResult,
     BlockSpec,
     CompressedDoc,
     FeatureContext,
@@ -102,6 +107,53 @@ class TestAccuracyCompressed:
         b = CompressedDoc.from_rows([(5,)])
         with pytest.raises(ValidationError):
             accuracy_compressed(a, b)
+
+
+def ref_accuracy_compressed(a: CompressedDoc, b: CompressedDoc) -> float:
+    """The metric as first written: a walk over the row tuples, run by run,
+    the shorter row padded with zero-length runs."""
+    if a.height != b.height:
+        raise ValidationError(f"heights differ: {a.height} vs {b.height}")
+    if a.width != b.width:
+        raise ValidationError(f"widths differ: {a.width} vs {b.width}")
+    mismatch = 0
+    for row_a, row_b in zip(a.rows, b.rows):
+        for ra, rb in zip_longest(row_a, row_b, fillvalue=0):
+            mismatch += abs(ra - rb)
+    area = a.height * sum(a.rows[0])
+    return max((1.0 - mismatch / area) * 100.0, 0.0)
+
+
+def accuracy_outcome(metric, a, b):
+    try:
+        result = metric(a, b)
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+    return result.percentage if isinstance(result, AccuracyResult) else result
+
+
+@st.composite
+def pixel_docs(draw, height, width):
+    """A document from drawn pixels: rows of many or few runs, and rows that
+    start black and so lead with a zero-length run."""
+    density = draw(st.sampled_from([0.05, 0.5, 0.95]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return encode_image(random_grid(np.random.default_rng(seed), height, width, density))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_accuracy_compressed_equals_the_run_by_run_walk(data):
+    height = data.draw(st.integers(1, 8))
+    width = data.draw(st.integers(1, 40))
+    a = data.draw(pixel_docs(height, width))
+    # most pairs share their dimensions; the rest differ in height or width
+    shape = data.draw(st.sampled_from(["same"] * 4 + ["height", "width", "both"]))
+    b_height = height + data.draw(st.integers(1, 3)) if shape in ("height", "both") else height
+    b_width = width + data.draw(st.integers(1, 3)) if shape in ("width", "both") else width
+    b = data.draw(pixel_docs(b_height, b_width))
+    for x, y in ((a, b), (b, a)):
+        assert accuracy_outcome(accuracy_compressed, x, y) == accuracy_outcome(ref_accuracy_compressed, x, y)
 
 
 def test_extraction_scores_100_both_ways():
