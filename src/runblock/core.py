@@ -15,6 +15,17 @@ row's runs back to back, and row i is `runs[offsets[i]:offsets[i + 1]]`.
 The global cumulative run sum, the tuple view `rows` and the transition and
 ink counts that the features share are built on first use and cached.
 Whole-page work runs in bounded row chunks, so its temporaries stay small.
+Compression (`encode_image`) runs its chunks on one process-wide thread
+pool with a thread per usable CPU; the CLI's `--jobs` does not size it. A
+first pass counts each chunk's runs on the calling thread, and the chunks
+then fill their own slices of arrays allocated once, since chunk arrays
+freed by the pool's threads stay in their allocator arenas. A page of one
+chunk runs inline and leaves the pool unstarted. Serialization
+(`formats.write_rle`), expansion (`decode_image`), parsing
+(`formats.read_rle`) and MH decoding stay on one thread: the first two ran
+slower on the pool, since their chunks make many short numpy calls and
+`np.repeat` holds the interpreter lock, the MH decoder steps in Python, and
+each parsed chunk starts where the rows before it end.
 
 Validation happens once, where rows enter the package. `CompressedDoc(...)`
 checks the dimensions and every row with array operations, and rejects
@@ -27,6 +38,8 @@ anything else. Internal producers whose rows are valid by construction
 from __future__ import annotations
 
 import itertools
+import os
+import threading
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -42,12 +55,44 @@ FOREGROUND = 1
 # Dimension cap; keeps every pixel/run accumulator exact in a 64-bit int.
 MAX_DIM = 2**31 - 1
 
-# Pixels per chunk of rows in whole-page compression and expansion.
-CHUNK_PIXELS = 1 << 20
+# Pixels per chunk of rows in whole-page compression and expansion. Small
+# enough that the scratch of the chunks that run at once stays a small share
+# of a page.
+CHUNK_PIXELS = 1 << 18
 
 # Pixel budget of every pixel grid the package allocates: 2**28 pixels, a
 # 256 MiB grid, well above a 600 dpi A3 page (70 million pixels).
 MAX_PIXELS = 1 << 28
+
+
+_pool = None  # the process-wide thread pool, started on first use
+_pool_lock = threading.Lock()
+
+
+def _on_pool(fn, *iterables) -> list:
+    """`list(map(fn, *iterables))`, computed on the process-wide thread pool,
+    which has one thread per usable CPU."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            try:
+                cpus = len(os.sched_getaffinity(0))
+            except AttributeError:  # not on every platform
+                cpus = os.cpu_count() or 1
+            _pool = ThreadPoolExecutor(cpus, thread_name_prefix="runblock")
+    return list(_pool.map(fn, *iterables))
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's pool threads do not exist there."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _check_pixels(width: int, height: int) -> None:
@@ -302,25 +347,53 @@ def encode_image(grid) -> CompressedDoc:
     height, width = arr.shape
     if max(height, width) > MAX_DIM:
         raise ValidationError(f"grid of {height} x {width} pixels exceeds {MAX_DIM} per side")
-    runs, counts = [], []
-    step = max(1, CHUNK_PIXELS // width)
-    for top in range(0, height, step):
-        part = arr[top : top + step]
-        # each row between a white pixel and an end mark: a change at slot 0
-        # is the leading-zero run, one at slot `width` the row's end
-        framed = np.zeros((part.shape[0], width + 2), dtype=np.int8)
-        framed[:, 1:-1] = part
-        framed[:, -1] = 2
-        changes = framed[:, 1:] != framed[:, :-1]
-        slots = changes.reshape(-1).nonzero()[0]
-        ends = slots - slots // (width + 1)  # where each run ends, counted from the chunk's start
-        lengths = ends.copy()  # in place, the overlapping subtraction would copy anyway
-        lengths[1:] -= ends[:-1]
-        runs.append(lengths)
-        counts.append(np.add.reduce(changes, axis=1))
+    # each row's run count, summed up into offsets once every chunk is done
     offsets = np.zeros(height + 1, dtype=np.int64)
-    np.add.accumulate(counts[0] if len(counts) == 1 else np.concatenate(counts), out=offsets[1:])
-    return CompressedDoc._trusted(width, height, runs[0] if len(runs) == 1 else np.concatenate(runs), offsets)
+    step = max(1, CHUNK_PIXELS // width)
+    if height <= step:
+        runs = _encode_rows(arr, offsets[1:])
+    else:
+        # the chunks' run counts first, so that each fills its own slice of
+        # one array; the counting calls are too short to pay on the pool
+        tops = range(0, height, step)
+        starts = list(itertools.accumulate((_count_runs(arr[top : top + step]) for top in tops), initial=0))
+        runs = np.empty(starts[-1], dtype=np.int64)
+        _on_pool(
+            lambda top, first, last: _encode_rows(arr[top : top + step], offsets[top + 1 : top + step + 1], runs[first:last]),
+            tops, starts, starts[1:],
+        )
+    np.add.accumulate(offsets, out=offsets)
+    return CompressedDoc._trusted(width, height, runs, offsets)
+
+
+def _count_runs(part: np.ndarray) -> int:
+    """Runs of the pixel rows `part`: one per row, and one more per change
+    from white at its start or between two of its pixels."""
+    return part.shape[0] + int(np.count_nonzero(part[:, 0]) + np.count_nonzero(part[:, 1:] != part[:, :-1]))
+
+
+def _encode_rows(part: np.ndarray, counts: np.ndarray, runs: np.ndarray | None = None) -> np.ndarray:
+    """Write the runs of the pixel rows `part` into `runs`, allocated when
+    not given, and each row's run count into `counts`. Returns `runs`."""
+    rows, width = part.shape
+    # a row has a slot before each pixel and one past its end: slot 0 holds
+    # a change from white, the leading-zero run, and the last slot the row's end
+    changes = np.empty((rows, width + 1), dtype=bool)
+    changes[:, 0] = part[:, 0]
+    np.not_equal(part[:, 1:], part[:, :-1], out=changes[:, 1:-1])
+    changes[:, -1] = True
+    ends = changes.reshape(-1).nonzero()[0]
+    row = ends // (width + 1)
+    counts[:] = np.bincount(row, minlength=rows)
+    # where each run ends, counted from the chunk's start: a row's end slot
+    # and the next row's slot 0 are the same pixel boundary
+    ends -= row
+    if runs is None:
+        runs = ends.copy()
+    else:
+        runs[:] = ends
+    runs[1:] -= ends[:-1]
+    return runs
 
 
 def decode_image(doc: CompressedDoc) -> np.ndarray:

@@ -2,11 +2,12 @@
 
 Given a rectangle (rows x1..x2, columns y1..y2, all 1-indexed inclusive),
 the block is located inside each selected run row by a binary search over
-the document's global cumulative run sum, which is monotone, so each row's
-search is confined to that row's runs. All selected rows are searched at
-once, first for y1 and then for y2. `extract_block_detailed`, which counts
-the run entries read, runs its own lock-step binary search, whose end
-search starts at the start run; the other callers take numpy's
+the cumulative run sum of the selected rows, offset by the pixels above
+them. It is monotone, so each row's search is confined to that row's runs,
+and building it costs the block's rows, not the page's. All selected rows
+are searched at once, first for y1 and then for y2. `extract_block_detailed`,
+which counts the run entries read, runs its own lock-step binary search,
+whose end search starts at the start run; the other callers take numpy's
 `searchsorted`, which finds the same runs. The result is a boundary record
 per row (start run index, start residue, end run index, end residue), and
 the block is cut out by one gather of the runs from the start run to the
@@ -119,21 +120,27 @@ def _search(cumsum, lo, hi, target, seen):
 
 
 def _bounds(doc: CompressedDoc, x1: int, x2: int, y1: int, y2: int, seen=None):
-    """Global run indices and residues of the boundaries of rows x1..x2
-    (0-based, exclusive end) at columns y1 and y2 (1-based).
+    """Run indices and residues of the boundaries of rows x1..x2 (0-based,
+    exclusive end) at columns y1 and y2 (1-based). The indices count from
+    the first run of row x1.
 
-    With `seen`, a boolean array over the runs, the searches are lock-step
-    binary searches that mark every entry they read. Without it, numpy's
-    `searchsorted` over the whole cumulative sum, which is monotone, finds
-    the same runs."""
-    starts, cumsum, width = doc.offsets[x1:x2], doc.cumsum, doc.width
+    The searches read the cumulative sum of those rows' runs alone, offset
+    by the pixels above them, so their cost follows the block, not the page.
+    With `seen`, a boolean array over those runs, they are lock-step binary
+    searches that mark every entry they read. Without it, numpy's
+    `searchsorted` over the cumulative sum, which is monotone, finds the
+    same runs."""
+    width, base = doc.width, doc.offsets[x1]
+    cumsum = np.add.accumulate(doc.runs[base : doc.offsets[x2]])
+    cumsum += x1 * width
+    starts = doc.offsets[x1:x2] - base
     # the targets: the pixels above each row plus the column
     start_at = np.arange(x1 * width + y1, x2 * width + y1, width)
     end_at = start_at + (y2 - y1)
     if seen is None:
         p1, p2 = cumsum.searchsorted(start_at), cumsum.searchsorted(end_at)
     else:
-        last = doc.offsets[x1 + 1 : x2 + 1] - 1
+        last = doc.offsets[x1 + 1 : x2 + 1] - (base + 1)
         p1 = _search(cumsum, starts, last, start_at, seen)
         p2 = _search(cumsum, p1, last, end_at, seen)
     r1 = cumsum[p1] - start_at
@@ -143,7 +150,7 @@ def _bounds(doc: CompressedDoc, x1: int, x2: int, y1: int, y2: int, seen=None):
 
 def _cut(runs, starts, p1, r1, p2, r2) -> tuple[np.ndarray, np.ndarray]:
     """Trimmed rows (runs, offsets) from boundary runs p1..p2 of rows that
-    start at `starts`, all global indices.
+    start at `starts`, all indices into `runs`.
 
     One gather copies runs p1..p2 of every row, and one run before p1 when
     p1 is foreground, whose slot becomes the leading zero. The start run
@@ -249,11 +256,12 @@ def trim_row(row: Sequence[int], rec: BoundaryRecord, width: int | None = None) 
 
 def _extract(doc: CompressedDoc, spec: BlockSpec, count: bool = False):
     """The block, its boundaries and, with `count`, the run entries that the
-    searches read, marked over the runs up to the last selected row."""
+    searches read, marked over the runs of the selected rows."""
     spec.validate_for(doc.width, doc.height)
-    seen = np.zeros(doc.offsets[spec.x2], dtype=bool) if count else None
+    first = doc.offsets[spec.x1 - 1]
+    seen = np.zeros(doc.offsets[spec.x2] - first, dtype=bool) if count else None
     bounds = _bounds(doc, spec.x1 - 1, spec.x2, spec.y1, spec.y2, seen)
-    return CompressedDoc._trusted(spec.width, spec.height, *_cut(doc.runs, *bounds)), bounds, seen
+    return CompressedDoc._trusted(spec.width, spec.height, *_cut(doc.runs[first:], *bounds)), bounds, seen
 
 
 def extract_block_detailed(

@@ -275,34 +275,53 @@ def _row_error(lines: list[bytes], first: int, width: int) -> NoReturn:
     raise ConsistencyError("an RLC1 row failed a check that no row fails on its own")
 
 
+# Runs per chunk of rows in serialization.
+_CHUNK_RUNS = 1 << 16
+
+
 def write_rle(doc: CompressedDoc) -> bytes:
     """Serialize a CompressedDoc as RLC1 bytes (canonical, newline per row,
     no trailing whitespace).
 
     Digits are written by array operations, one pass per decimal place, in
-    chunks of rows of about `_CHUNK_BYTES` runs each."""
+    chunks of rows of about `_CHUNK_RUNS` runs each. The chunks run on the
+    calling thread: on the thread pool, their many short numpy calls made
+    serialization slower, not faster."""
     parts = [f"{RLC_MAGIC}\n{doc.width} {doc.height}\n".encode("ascii")]
-    step = max(1, _CHUNK_BYTES * doc.height // max(doc.total_runs(), 1))
+    # each run's digits and separator, counted in uint8, which numpy adds to
+    # faster than int64
+    widths = np.full(doc.runs.size, 2, dtype=np.uint8)
+    place, largest = 10, doc.runs.max()
+    while place <= largest:
+        widths += doc.runs >= place
+        place *= 10
+    step = max(1, _CHUNK_RUNS * doc.height // doc.total_runs())
     for top in range(0, doc.height, step):
         bottom = min(top + step, doc.height)
         first, last = doc.offsets[top], doc.offsets[bottom]
-        runs = doc.runs[first:last]
-        # each run takes its digits and one separator
-        ends = np.full(runs.size, 2, dtype=np.int64)
-        place, largest = 10, runs.max()
-        while place <= largest:
-            ends += runs >= place
-            place *= 10
-        np.add.accumulate(ends, out=ends)
-        ends -= 1
-        text = np.full(ends[-1] + 1, ord(" "), dtype=np.uint8)
-        text[ends[doc.offsets[top + 1 : bottom + 1] - 1 - first]] = ord("\n")
-        # digits from the last: each pass keeps the runs with digits left
-        value, where = runs, ends - 1
-        while value.size:
-            value, digit = np.divmod(value, 10)
-            text[where] = digit + ord("0")
-            more = value.nonzero()[0]
-            value, where = value[more], where[more] - 1
+        # where the last digit of each run goes, before its separator; numpy
+        # adds up int64 several times faster than it widens uint8 as it goes
+        where = widths[first:last].astype(np.int64)
+        where[0] -= 2
+        np.add.accumulate(where, out=where)
+        text = np.full(where[-1] + 2, ord(" "), dtype=np.uint8)
+        # the separator after a row's last digit is a newline
+        text[1:][where[doc.offsets[top + 1 : bottom + 1] - (first + 1)]] = ord("\n")
+        # digits from the last: each pass keeps the runs with digits left.
+        # uint32 holds any run, since no width exceeds MAX_DIM, and numpy
+        # divides it several times faster than int64.
+        value = doc.runs[first:last].astype(np.uint32)
+        while True:
+            rest = value // 10
+            value -= rest * 10
+            value += ord("0")
+            text[where] = value
+            # numpy finds the nonzero entries of a boolean array several
+            # times faster than those of an integer one
+            more = (rest != 0).nonzero()[0]
+            if not more.size:
+                break
+            value, where = rest.take(more), where.take(more)
+            where -= 1
         parts.append(text.tobytes())
     return b"".join(parts)

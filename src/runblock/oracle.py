@@ -51,7 +51,14 @@ def accuracy_pixel(a, b) -> AccuracyResult:
     b = np.asarray(b)
     if a.shape != b.shape or a.ndim != 2:
         raise ValidationError(f"grid dimensions differ: {a.shape} vs {b.shape}")
-    mismatches = int(np.abs(a.astype(np.int64) - b.astype(np.int64)).sum())
+    if a.size == 0:
+        raise ValidationError("grid must contain at least one pixel")
+    for grid in (a, b):
+        # unsigned and boolean pixels are 0/1 when their maximum is
+        if not (grid.max() <= 1 if grid.dtype.kind in "bu" else ((grid == 0) | (grid == 1)).all()):
+            raise ValidationError("grid contains pixel values other than 0 and 1")
+    # of two 0/1 pixels, |A - B| is 1 exactly where they differ
+    mismatches = int(np.count_nonzero(a != b))
     pct = (1.0 - mismatches / a.size) * 100.0
     return AccuracyResult(percentage=pct, mode=PIXEL)
 

@@ -71,6 +71,33 @@ class TestAccuracyPixel:
         with pytest.raises(ValidationError):
             accuracy_pixel(np.zeros((2, 2)), np.zeros((2, 3)))
 
+    def test_every_dtype_gives_the_widened_difference(self):
+        rng = np.random.default_rng(17)
+        for shape in ((1, 1), (3, 5), (40, 33)):
+            a, b = random_grid(rng, *shape), random_grid(rng, *shape, density=0.2)
+            # the formula of the docstring on int64 pixels
+            expected = (1.0 - np.abs(a.astype(np.int64) - b.astype(np.int64)).sum() / a.size) * 100.0
+            for dtype in (np.uint8, bool, np.int64):
+                assert accuracy_pixel(a.astype(dtype), b.astype(dtype)).percentage == expected
+            assert accuracy_pixel(a.astype(bool), b.tolist()).percentage == expected
+
+    @pytest.mark.parametrize(
+        "dtype, bad",
+        [(float, 2), (float, -1), (float, 0.5), (np.uint8, 255), (np.uint16, 256), (np.int8, -1), (np.int64, 2)],
+    )
+    def test_values_other_than_0_and_1_rejected(self, dtype, bad):
+        good = np.zeros((2, 3), dtype=dtype)
+        grid = good.copy()
+        grid[1, 2] = bad
+        for a, b in ((grid, good), (good, grid)):
+            with pytest.raises(ValidationError, match="other than 0 and 1"):
+                accuracy_pixel(a, b)
+
+    def test_empty_grids_rejected(self):
+        for grid in (np.zeros((0, 3), dtype=np.uint8), [[]]):
+            with pytest.raises(ValidationError, match="at least one pixel"):
+                accuracy_pixel(grid, grid)
+
 
 class TestAccuracyCompressed:
     def test_equal_docs(self):
