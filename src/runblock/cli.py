@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 import time
@@ -104,7 +105,7 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     data = _read_bytes(args.input)
     mh_flags = (args.width, args.height, args.eol)
-    if any(v is not None for v in mh_flags):
+    if args.byte_align or any(v is not None for v in mh_flags):
         # explicit fax framing wins over content sniffing
         missing = [
             name
@@ -141,9 +142,7 @@ def cmd_extract(args) -> int:
     else:
         Path(args.output).write_bytes(write_rle(block))
     if args.trace is not None:
-        lines = "".join(
-            f"{r.start_run} {r.start_residue} {r.end_run} {r.end_residue}\n" for r in table
-        )
+        lines = ("%d %d %d %d\n" * len(table)) % tuple(itertools.chain.from_iterable(table))
         if args.trace == "-":
             sys.stdout.write(lines)
         else:
@@ -180,10 +179,11 @@ def cmd_characterize(args) -> int:
     _, block = _load_doc(args.input)
     doc = None
     spec = None
-    if args.doc is not None:
-        coords = (args.x1, args.x2, args.y1, args.y2)
-        if any(c is None for c in coords):
-            raise ValidationError("relative mode needs --doc together with --x1/--x2/--y1/--y2")
+    relative = args.doc is not None
+    # --doc takes all four coordinates, and coordinates are nothing without it
+    if any((c is None) == relative for c in (args.x1, args.x2, args.y1, args.y2)):
+        raise ValidationError("relative mode needs --doc together with --x1/--x2/--y1/--y2")
+    if relative:
         spec = _block_spec(args)
         _, doc = _load_doc(args.doc, spec)
     result: Characterization = characterize(

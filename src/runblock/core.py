@@ -24,8 +24,10 @@ chunk runs inline and leaves the pool unstarted. Serialization
 (`formats.write_rle`), expansion (`decode_image`), parsing
 (`formats.read_rle`) and MH decoding stay on one thread: the first two ran
 slower on the pool, since their chunks make many short numpy calls and
-`np.repeat` holds the interpreter lock, the MH decoder steps in Python, and
-each parsed chunk starts where the rows before it end.
+`np.repeat` holds the interpreter lock; each parsed chunk starts where the
+rows before it end; and the MH decoder's serial loop steps in Python,
+while its lock step over EOL-framed rows is a chain of short numpy calls,
+each on the results of the one before.
 
 Validation happens once, where rows enter the package. `CompressedDoc(...)`
 checks the dimensions and every row with array operations, and rejects

@@ -103,6 +103,14 @@ class TestEncodeDecode:
         assert code == 2
         assert "--height" in err and "--eol" in err and "--width" not in err
 
+    def test_decode_byte_align_alone_is_a_fax_flag(self, tmp_path, capsys):
+        # an RLC1 input with a fax framing flag is read as fax, not sniffed
+        rlc = tmp_path / "page.rlc"
+        rlc.write_bytes(write_rle(CompressedDoc.from_rows([(4,)])))
+        code, _, err = run(capsys, "decode", rlc, tmp_path / "o.pbm", "--byte-align")
+        assert (code, err) == (2, "runblock: error: raw fax input needs --width, --height, --eol\n")
+        assert not (tmp_path / "o.pbm").exists()
+
     def test_decode_rejects_pbm_input(self, tmp_path, capsys):
         pbm = tmp_path / "img.pbm"
         pbm.write_bytes(b"P1\n1 1\n0\n")
@@ -341,6 +349,14 @@ class TestCharacterize:
         code, _, err = run(capsys, "characterize", worked_doc, "--doc", worked_doc, "--x1", 1)
         assert code == 2
         assert "x2" in err or "relative" in err
+
+    @pytest.mark.parametrize(
+        "coords", [["--x1", 5, "--x2", 9], ["--y2", 3], ["--x1", 1, "--x2", 2, "--y1", 1, "--y2", 8]]
+    )
+    def test_coordinates_need_doc(self, worked_doc, capsys, coords):
+        code, stdout, err = run(capsys, "characterize", worked_doc, *coords)
+        message = "runblock: error: relative mode needs --doc together with --x1/--x2/--y1/--y2\n"
+        assert (code, stdout, err) == (2, "", message)
 
     def test_text_output(self, worked_doc, capsys):
         code, stdout, _ = run(capsys, "characterize", worked_doc)

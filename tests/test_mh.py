@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +15,7 @@ from runblock import (
     mh_encode_image,
     mh_encode_row,
 )
+from runblock import mh
 from runblock.core import _one_row, canonicalize_row, is_canonical
 from runblock.mh import (
     BLACK_MAKEUP,
@@ -187,6 +190,28 @@ def outcome(decoder, data: bytes, width: int, height: int, eol: bool, byte_align
         return f"{type(exc).__name__}: {exc}"
 
 
+def decoder_outcomes(data: bytes, width: int, height: int, eol: bool, byte_align: bool) -> list:
+    """The decoder's outcome as it is and, in the EOL framings, with lock
+    step down to one open row, so that it decodes every row but the last,
+    and to two, so that it also hands its last open row to the serial
+    decoder. Lock step must fall back to the serial loop exactly when the
+    stream is invalid."""
+    results = [outcome(mh_decode_image, data, width, height, eol, byte_align)]
+    for rows in (1, 2) if eol else ():
+        fallbacks = []
+
+        def spy(*args, serial=mh._decode_serial):
+            fallbacks.append(args)
+            return serial(*args)
+
+        with patch.object(mh, "LOCKSTEP_ROWS", rows), patch.object(mh, "_decode_serial", spy):
+            got = outcome(mh_decode_image, data, width, height, eol, byte_align)
+        if height >= rows:  # a shorter stream goes to the serial loop at once
+            assert bool(fallbacks) != isinstance(got, CompressedDoc), (rows, got)
+        results.append(got)
+    return results
+
+
 class TestCodeTables:
     def test_terminating_tables_cover_0_to_63(self):
         assert len(WHITE_TERMINATING) == 64
@@ -219,6 +244,16 @@ class TestCodeTables:
             + tuple(EXTENDED_MAKEUP.values())
         ):
             assert not EOL.startswith(code)
+
+    def test_no_two_codewords_hold_eleven_zeros(self):
+        # so that the end-of-line code, eleven zeros and a one, shows where
+        # every row of an EOL-framed stream starts without decoding a bit
+        codes = set(
+            WHITE_TERMINATING + BLACK_TERMINATING
+            + tuple(WHITE_MAKEUP.values()) + tuple(BLACK_MAKEUP.values())
+            + tuple(EXTENDED_MAKEUP.values())
+        )
+        assert not [(a, b) for a in codes for b in codes if "0" * 11 in a + b]
 
     def test_white_4_is_the_documented_codeword(self):
         assert mh_encode_row((4,)) == "1011"
@@ -458,6 +493,18 @@ class TestDecodeMatchesReference:
             data = mh_encode_image(doc, eol=eol, byte_align=byte_align)
             assert mh_decode_image(data, doc.width, doc.height, eol=eol, byte_align=byte_align) == doc
 
+    @pytest.mark.parametrize("page", ["a4_doc", "letter_doc"])
+    @pytest.mark.parametrize("byte_align", [True, False], ids=["eol-aligned", "eol"])
+    def test_valid_eol_pages_decode_in_lock_step(self, page, byte_align, request, monkeypatch):
+        doc = request.getfixturevalue(page)
+        data = mh_encode_image(doc, eol=True, byte_align=byte_align)
+
+        def serial(*args):
+            raise AssertionError("a valid EOL-framed page fell back to the serial loop")
+
+        monkeypatch.setattr(mh, "_decode_serial", serial)
+        assert mh_decode_image(data, doc.width, doc.height, eol=True, byte_align=byte_align) == doc
+
     def test_letter_page_matches_reference(self, letter_doc):
         doc = letter_doc
         data = mh_encode_image(doc, eol=False)
@@ -470,9 +517,10 @@ class TestDecodeMatchesReference:
         for _ in range(40):
             doc = small_mh_doc(rng)
             for data, w, h in mutated_streams(rng, doc, eol, byte_align):
-                got = outcome(mh_decode_image, data, w, h, eol, byte_align)
-                assert got == outcome(ref_decode_image, data, w, h, eol, byte_align), (data, w, h)
-                seen.append(got)
+                expected = outcome(ref_decode_image, data, w, h, eol, byte_align)
+                got = decoder_outcomes(data, w, h, eol, byte_align)
+                assert got == [expected] * len(got), (data, w, h)
+                seen.append(expected)
         # the corpus reaches every diagnosis the decoder gives in this framing
         kinds = [
             "invalid white codeword", "invalid black codeword", "ended inside a white run",
@@ -496,13 +544,14 @@ class TestDecodeMatchesReference:
             expected = "FormatError: stream ended while seeking the end-of-line code of row 3"
         else:
             expected = f"FormatError: row 3: bit stream ended inside a white run at bit {8 * len(data)}"
-        assert outcome(mh_decode_image, data, 4, 3, eol, byte_align) == expected
+        got = decoder_outcomes(data, 4, 3, eol, byte_align)
+        assert got == [expected] * len(got)
         assert outcome(ref_decode_image, data, 4, 3, eol, byte_align) == expected
 
     def test_stream_ends_right_after_an_eol(self):
         data = pack("0000" + EOL)  # fill and end-of-line code fill two bytes
         expected = "FormatError: row 1: bit stream ended inside a white run at bit 16"
-        assert outcome(mh_decode_image, data, 4, 1, True, True) == expected
+        assert decoder_outcomes(data, 4, 1, True, True) == [expected] * 3
         assert outcome(ref_decode_image, data, 4, 1, True, True) == expected
 
     @pytest.mark.parametrize(
@@ -522,9 +571,10 @@ class TestDecodeMatchesReference:
         assert mh_decode_row("".join(codes), width) == row
         for eol, byte_align in FRAMINGS:
             data = pack("".join(ref_frame([codes, codes], eol, byte_align)))
-            got = mh_decode_image(data, width, 2, eol=eol, byte_align=byte_align)
-            assert got == ref_decode_image(data, width, 2, eol=eol, byte_align=byte_align)
-            assert got.rows == (row, row)
+            expected = ref_decode_image(data, width, 2, eol=eol, byte_align=byte_align)
+            assert expected.rows == (row, row)
+            got = decoder_outcomes(data, width, 2, eol, byte_align)
+            assert got == [expected] * len(got)
 
     @pytest.mark.parametrize(
         "bits,height,eol,byte_align,message",
@@ -546,8 +596,33 @@ class TestDecodeMatchesReference:
     def test_framing_faults(self, bits, height, eol, byte_align, message):
         data = pack(bits)
         expected = f"FormatError: {message}"
-        assert outcome(mh_decode_image, data, 1, height, eol, byte_align) == expected
+        got = decoder_outcomes(data, 1, height, eol, byte_align)
+        assert got == [expected] * len(got)
         assert outcome(ref_decode_image, data, 1, height, eol, byte_align) == expected
+
+    @pytest.mark.parametrize(
+        "bits,width,message",
+        [
+            # white 20 ends in three zeros, which with eight more and a one
+            # look like an end-of-line code that starts inside row 1
+            (EOL + WHITE_TERMINATING[20] + "0" * 8 + "1" + WHITE_TERMINATING[20], 20,
+             "missing end-of-line code before row 2 (bit 19)"),
+            # the make-up code takes row 1 past its width inside a run, and
+            # the next end-of-line code follows where its terminating code should
+            (EOL + WHITE_MAKEUP[64] + EOL + WHITE_TERMINATING[63], 63,
+             "row 1: unexpected end-of-line code at bit 17"),
+            # eight zeros start no codeword, though the bits after the next two
+            # are white 29, the whole row
+            (EOL + "00" + WHITE_TERMINATING[29] + EOL + WHITE_TERMINATING[29], 29,
+             "row 1: invalid white codeword at bit 12"),
+        ],
+    )
+    def test_invalid_eol_rows_give_the_serial_diagnosis(self, bits, width, message):
+        data = pack(bits)
+        expected = f"FormatError: {message}"
+        got = decoder_outcomes(data, width, 2, True, False)
+        assert got == [expected] * len(got)
+        assert outcome(ref_decode_image, data, width, 2, True, False) == expected
 
     def test_exactly_one_trailing_zero_byte(self):
         # two rows of white-4 (1011) fill one byte, and the zero byte after it is data
@@ -656,4 +731,5 @@ def mh_streams(draw):
 def test_decoder_matches_reference_on_foreign_streams(stream):
     data, width, height, eol, byte_align = stream
     expected = outcome(ref_decode_image, data, width, height, eol, byte_align)
-    assert outcome(mh_decode_image, data, width, height, eol, byte_align) == expected
+    got = decoder_outcomes(data, width, height, eol, byte_align)
+    assert got == [expected] * len(got)
