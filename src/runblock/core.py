@@ -17,17 +17,12 @@ ink counts that the features share are built on first use and cached.
 Whole-page work runs in bounded row chunks, so its temporaries stay small.
 Compression (`encode_image`) runs its chunks on one process-wide thread
 pool with a thread per usable CPU; the CLI's `--jobs` does not size it. A
-first pass counts each chunk's runs on the calling thread, and the chunks
-then fill their own slices of arrays allocated once, since chunk arrays
-freed by the pool's threads stay in their allocator arenas. A page of one
-chunk runs inline and leaves the pool unstarted. Serialization
-(`formats.write_rle`), expansion (`decode_image`), parsing
-(`formats.read_rle`) and MH decoding stay on one thread: the first two ran
-slower on the pool, since their chunks make many short numpy calls and
-`np.repeat` holds the interpreter lock; each parsed chunk starts where the
-rows before it end; and the MH decoder's serial loop steps in Python,
-while its lock step over EOL-framed rows is a chain of short numpy calls,
-each on the results of the one before.
+first pass counts each chunk's runs, and the chunks then fill their own
+slices of arrays allocated once, since chunk arrays freed by the pool's
+threads stay in their allocator arenas. A page of one chunk leaves the
+pool unstarted. Every other whole-page stage stays on one thread, because
+its work is many short numpy calls, Python steps, or chunks that each
+start where the one before ends.
 
 Validation happens once, where rows enter the package. `CompressedDoc(...)`
 checks the dimensions and every row with array operations, and rejects

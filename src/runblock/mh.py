@@ -12,34 +12,37 @@ pair of each codeword and packs the pairs into an integer, from which it
 moves whole bytes out as it grows. The decoder first computes, for every
 bit position of the stream, the 13 bits that start there (zero past the
 end). The codes are prefix-free, so a lookup of the zero-padded window
-names exactly the codeword a bit-by-bit search would find. Each step of
-the decoder looks the window up in a per-color table of 8192 entries that
-covers every whole terminating code in it, colors alternating, and takes
-them all at once: on text rows, three or four codes a step. A window that
-starts with a make-up code, or whose codes would reach the end of the row
-or of the stream, is read one codeword at a time instead, with a per-color
-table of (code length, run value, is terminating), which also gives every
-diagnosis. The loop records one key per step; after the last row, one
-numpy gather turns the keys into the document's runs. `mh_encode_row` and
-`mh_decode_row` keep a '0'/'1' string interface over the same code.
+names exactly the codeword a bit-by-bit search would find.
+
+The decoder reads one table of two entries per key, a window together with
+the row's color and whether the row is inside a run. The whole-code entry
+takes every whole terminating code at the start of the window, colors
+alternating: on text rows, three or four codes at once. The codeword entry
+takes the window's first codeword alone, and a key whose window starts no
+codeword marks the row stuck. Each step of a row takes one entry and
+records the entry's index in the table; after the last row, one numpy
+gather turns the records into the document's runs. The serial loop decodes
+row by row. It takes the whole-code entry while the row stays open after
+it, and otherwise reads one run code by code, which also gives every
+diagnosis. `mh_encode_row` and `mh_decode_row` keep a '0'/'1' string
+interface over the same code.
 
 A stream with end-of-line codes and at least `LOCKSTEP_ROWS` rows is first
 decoded in lock step, every row at once. No two consecutive codewords hold
 eleven zeros in a row (a codeword starts with at most seven and ends with
 at most three), so one array scan of the windows finds every end-of-line
 code, and so every row start, before a bit is decoded. Each numpy
-iteration then takes one step of every open row: the whole-code step of
-the loop above where the loop would take it, else one codeword, from flat
-tables indexed by the same keys. The steps become the keys the loop would
-record, and the same gather builds the runs. The rows still open once
-fewer than `LOCKSTEP_ROWS` remain, and the last row, which alone can read
-up to the end of the stream, restart on the loop from their end-of-line
-codes. Array checks then confirm what the loop checks: exactly `height`
-end-of-line codes, each row ending at exactly its width, only zero fill
-before each end-of-line code, and the rule on trailing data. If any check
-fails, the loop decodes the whole stream and gives the diagnosis, so lock
-step has no error of its own. Streams without end-of-line codes stay on
-the loop: a row's start is known only once the row above it is decoded.
+iteration then takes one entry for every open row, the one the serial loop
+would take, and so records what the serial loop records. The rows still
+open once fewer than `LOCKSTEP_ROWS` remain, and the last row, which alone
+can read up to the end of the stream, restart on the serial loop from
+their end-of-line codes. Array checks then confirm what the serial loop
+checks: exactly `height` end-of-line codes, each row ending at exactly its
+width outside a run, only zero fill before each end-of-line code, and the
+rule on trailing data. If any check fails, the serial loop decodes the
+whole stream and gives the diagnosis, so lock step has no error of its
+own. Streams without end-of-line codes stay on the serial loop: a row's
+start is known only once the row above it is decoded.
 
 At the image level bits are packed into bytes MSB-first with two framing
 options:
@@ -191,20 +194,9 @@ def _bit_string(code: int, nbits: int) -> str:
     return f"{code:0{nbits}b}" if nbits else ""
 
 
-def _encode_run(length: int, white: bool) -> str:
-    """Codeword sequence for one run of the given color."""
-    return _bit_string(*_run_code(length, white))
-
-
 # Bits in a decoder window: the longest codeword (black make-up codes of
 # 13 bits). A window starting at an end-of-line code reads 12 bits of it.
 _PEEK = 13
-
-
-# A window that starts no codeword decodes to a code longer than any stream
-# has bits left, so one bounds test covers both a miss and a code cut off by
-# the end of the stream.
-_NO_CODE = (1 << 62, 0, False)
 
 
 def _code_windows(terminating, makeup):
@@ -219,17 +211,8 @@ def _code_windows(terminating, makeup):
         yield slice(start, start + span), len(code), value, terminating_code
 
 
-def _build_decode_table(terminating, makeup) -> list[tuple[int, int, bool]]:
-    """(code length, run value, is terminating) for every 13-bit window."""
-    table = [_NO_CODE] * (1 << _PEEK)
-    for windows, length, value, terminating_code in _code_windows(terminating, makeup):
-        table[windows] = [(length, value, terminating_code)] * (windows.stop - windows.start)
-    return table
-
-
 # (terminating codes, make-up codes) of each color, white first
 _CODEBOOKS = ((WHITE_TERMINATING, _WHITE_MAKEUP_ALL), (BLACK_TERMINATING, _BLACK_MAKEUP_ALL))
-_WHITE_DECODE, _BLACK_DECODE = (_build_decode_table(*codebook) for codebook in _CODEBOOKS)
 
 
 def _windows(data: bytes) -> memoryview:
@@ -266,141 +249,141 @@ def _codeword_error(win, nbits: int, pos: int, white: bool) -> FormatError:
     return FormatError(f"invalid {color} codeword at bit {pos}")
 
 
-def _run_at(win, nbits: int, pos: int, white: bool) -> tuple[int, int]:
-    """Decode one run (make-up codes plus terminating code) at `pos`.
-
-    Returns (run length, new position)."""
-    table = _WHITE_DECODE if white else _BLACK_DECODE
-    total = 0
-    while True:
-        n, value, terminating = table[win[pos]]
-        if pos + n > nbits:
-            raise _codeword_error(win, nbits, pos, white)
-        pos += n
-        total += value
-        if terminating:
-            return total, pos
-
-
-def _decode_run(bits: str, pos: int, white: bool) -> tuple[int, int]:
-    """Decode one run (make-up codes plus terminating code) of a '0'/'1'
-    string at `pos`.
-
-    Returns (run length, new position).
-    """
-    return _run_at(_bit_string_windows(bits), len(bits), pos, white)
-
-
-# A row decodes as one key per step of the loop. A key of 0 or more is
-# `color << _PEEK | window`, with color 0 for white and 1 for black; it
-# stands for the whole terminating codes at the start of that window,
-# colors alternating. A negative key is `~length`, one run decoded code by
-# code. `_gather` turns the keys into runs once all rows are read.
+# A key is `state | window`. The state holds the row's color in bit _PEEK
+# (0 for white, _BLACK for black) and, in the next bit, whether the row is
+# inside a run whose make-up codes have been read but not its terminating
+# code.
 _BLACK = 1 << _PEEK
-# At most 4 whole terminating codes fit in a window: white codes take 4 bits
-# or more and black codes 2 or more, so 5 take at least 2 + 4 + 2 + 4 + 2 = 14.
+_INSIDE = _BLACK << 1
+# The decode table holds two entries per key: its whole-code step at `key`
+# and its first codeword at `_CODE | key`. Each step of a decoder loop
+# records the index of the entry it took, and `_gather` turns the records
+# into runs.
+_CODE = _INSIDE << 1
+# A window that starts no codeword enters the stuck state, whose keys lie
+# past the table.
+_STUCK = _CODE << 1
+# An entry packs `bits used << _USED | runs ended << _RUNS | flags | pixels`.
+# The flags are _CODE in a codeword entry and the state bits the entry
+# flips. A whole-code step ends at most 4 runs: white codes take 4 bits or
+# more and black codes 2 or more, so 5 take at least 2 + 4 + 2 + 4 + 2 = 14.
 _SLOTS = 4
-# A step of the loop packs, per key, `bits used << _STEP_BITS | color flip |
-# pixel sum`: the flip is 0 or _BLACK, and the sum of 4 runs of at most 63
-# pixels stays below _BLACK.
-_STEP_BITS = _PEEK + 1
-_STEP_PIXELS = _BLACK - 1
+_RUNS = _STUCK.bit_length()
+_ENDS = 1 << _RUNS  # a codeword that ends a run
+_USED = _RUNS + 3
+_PIXELS = _BLACK - 1
 
 
 @functools.cache
-def _window_tables() -> tuple[list[int], np.ndarray, np.ndarray]:
-    """The whole terminating codes at the start of every window.
+def _tables() -> tuple[np.ndarray, memoryview, np.ndarray, list[int]]:
+    """The decode table and the views of it that the decoder reads:
 
-    For each key, codes are read from the window's first bit, in the key's
-    color and then alternating, up to the first code that is not
-    terminating or does not end inside the window. Returns, per key:
-
-    * steps: the packed step, where a key without such a code uses more
-      bits than any stream holds, so that the loop falls back to `_run_at`;
-    * slot_runs: the run of each code, by slot;
-    * counts: the number of codes.
-
-    `slot_runs` and `counts` have one more row, for the key of a single run:
-    one code, whose run `_gather` fills in.
+    * table: for each key, its whole-code step, then for each key its first
+      codeword. A whole-code step takes the terminating codes at the start
+      of the window, colors alternating, up to the first code that is not
+      terminating or does not end inside the window. A key outside a run
+      without such a code, and every key inside a run, has its codeword
+      entry as its step. A make-up code that enters a run counts one pixel
+      less, and the terminating code that leaves it one more, so that a row
+      whose runs reach its width only with the terminating code stays open
+      until then.
+    * entries: the table as a memoryview, whose items are plain ints.
+    * slot_runs: the runs of the whole-code step of each key outside a run.
+    * steps: those steps for the serial loop, where a key without one uses
+      more bits than any stream holds.
     """
-    # the length and run of the terminating code that starts each window, by
-    # color; a window that starts none gets a length longer than the window
-    lengths = np.full((2, 1 << _PEEK), _PEEK + 1, dtype=np.int32)
-    values = np.zeros((2, 1 << _PEEK), dtype=np.int32)
-    for color, terminating in enumerate((WHITE_TERMINATING, BLACK_TERMINATING)):
-        for value, code in enumerate(terminating):
-            span = 1 << (_PEEK - len(code))
-            start = int(code, 2) * span
-            lengths[color, start : start + span] = len(code)
-            values[color, start : start + span] = value
-    keys = np.arange(2 << _PEEK, dtype=np.int32)
-    window = keys & (1 << _PEEK) - 1
-    color = keys >> _PEEK
-    used = np.zeros_like(keys)
-    counts = np.zeros_like(keys)
-    slot_runs = np.zeros((keys.size + 1, _SLOTS), dtype=np.uint8)
-    reading = np.ones(keys.size, dtype=bool)
+    table = np.full(2 * _CODE, _CODE | _STUCK, dtype=np.int32)
+    step, code = table[:_CODE], table[_CODE:]
+    for color, codebook in enumerate(_CODEBOOKS):
+        for windows, length, value, terminating in _code_windows(*codebook):
+            # a terminating code ends the run and flips the color; a make-up
+            # code enters the run, or keeps the row inside it
+            entry = length << _USED | _CODE | (_ENDS | _BLACK | value if terminating else _INSIDE | value - 1)
+            code[color << _PEEK :][windows] = entry
+            code[_INSIDE | color << _PEEK :][windows] = (entry ^ _INSIDE) + 1
+    step[:] = code
+    key = np.arange(_INSIDE)
+    state = key & _BLACK
+    used = np.zeros_like(key)
+    runs = np.zeros_like(key)
+    slot_runs = np.zeros((_INSIDE, _SLOTS), dtype=np.uint8)
+    reading = np.ones(_INSIDE, dtype=bool)
     for slot in range(_SLOTS):
-        rest = window << used & (1 << _PEEK) - 1  # the bits after `used`, zero filled
-        n = lengths[color, rest]
-        reading &= used + n <= _PEEK
-        slot_runs[:-1, slot] = np.where(reading, values[color, rest], 0)
-        used += np.where(reading, n, 0)
-        counts += reading
-        color ^= reading
-    # 2**48 bits, more than any stream holds, and the packed step fits in 64 bits
-    bits = used.astype(np.int64)
-    bits[counts == 0] = _NO_CODE[0] >> _STEP_BITS
-    steps = bits << _STEP_BITS | (counts & 1) << _PEEK | slot_runs[:-1].sum(axis=1, dtype=np.int64)
-    # one int object per distinct step: the keys share a few hundred
+        entry = code.take(state | key << used & _PIXELS)  # the bits after `used`, zero filled
+        reading &= (entry & _ENDS != 0) & (used + (entry >> _USED) <= _PEEK)
+        slot_runs[:, slot] = reading * (entry & _PIXELS)
+        used += reading * (entry >> _USED)
+        runs += reading
+        state ^= reading * _BLACK
+    whole = runs > 0
+    pixels = slot_runs.sum(axis=1, dtype=np.int64)
+    step[:_INSIDE][whole] = (used << _USED | runs << _RUNS | (runs & 1) << _PEEK | pixels)[whole]
+    table.flags.writeable = False  # shared by every call
+    # one int object per distinct step: the keys share some hundreds
     distinct = {}
-    steps = [distinct.setdefault(step, step) for step in steps.tolist()]
-    return steps, slot_runs, np.append(counts, 1).astype(np.uint8)
+    steps = [distinct.setdefault(s, s) if not s & _CODE else 1 << 62 for s in step[:_INSIDE].tolist()]
+    return table, memoryview(table), slot_runs, steps
 
 
-def _decode_row_at(win, nbits: int, width: int, pos: int, keys: array) -> int:
-    """Decode one row at `pos`, appending its keys to `keys`.
+def _decode_row_at(win, nbits: int, width: int, pos: int, records: array) -> int:
+    """Decode one row at `pos`, appending its records to `records`.
 
     Returns the new position."""
-    steps = _window_tables()[0]
-    append = keys.append
+    _, entries, _, steps = _tables()
+    append = records.append
     total = 0
     color = 0
     while total < width:
         key = color | win[pos]
         step = steps[key]
-        pixels = step & _STEP_PIXELS
-        bits = step >> _STEP_BITS
+        pixels = step & _PIXELS
+        bits = step >> _USED
         # whole codes that leave the row open: the common case
         if total + pixels < width and pos + bits <= nbits:
             total += pixels
             pos += bits
             color ^= step & _BLACK
             append(key)
-        else:
-            length, pos = _run_at(win, nbits, pos, not color)
-            total += length
-            color ^= _BLACK
-            append(~length)
+            continue
+        # one run, code by code
+        while True:
+            index = _CODE | color | win[pos]
+            entry = entries[index]
+            bits = entry >> _USED
+            if entry & _STUCK or pos + bits > nbits:
+                raise _codeword_error(win, nbits, pos, not color & _BLACK)
+            total += entry & _PIXELS
+            pos += bits
+            color ^= entry & (_BLACK | _INSIDE)
+            append(index)
+            if entry & _ENDS:
+                break
     if total > width:
         raise FormatError(f"runs overrun the declared width {width} ({total} pixels)")
     return pos
 
 
-def _gather(keys: array, row_ends: list) -> tuple[np.ndarray, np.ndarray]:
-    """(runs, offsets) of decoded rows, from their keys and the number of
-    keys at the end of each row. Rows with a zero run after their first
+def _gather(records, row_ends) -> tuple[np.ndarray, np.ndarray]:
+    """(runs, offsets) of decoded rows, from their records and the number of
+    records at the end of each row. Rows with a zero run after their first
     are canonicalized."""
-    _, slot_runs, counts = _window_tables()
-    # the keys become table rows in place, in the buffer of `keys`
-    index = np.frombuffer(keys, dtype=np.int64)
-    single = index < 0
-    lengths = ~index[single]
-    index[single] = len(counts) - 1
-    key_counts = counts.take(index)
-    ends = np.cumsum(key_counts, dtype=np.int64)
-    runs = slot_runs.take(index, axis=0)[np.arange(_SLOTS) < key_counts[:, None]].astype(np.int64)
-    runs[ends[single] - 1] = lengths
+    table, _, slot_runs, _ = _tables()
+    records = np.asarray(records, dtype=np.uint16)
+    entry = table.take(records)
+    counts = entry >> _RUNS & 7
+    ends = np.cumsum(counts)
+    # A whole-code step's runs are the first `count` slots of its key, and a
+    # codeword that ends a run takes one slot, filled below. The slots are
+    # picked by one lookup per record: numpy is slow on rows of 4 elements.
+    first = np.arange(_SLOTS) < np.arange(_SLOTS + 1)[:, None]
+    slots = slot_runs.take(records & _INSIDE - 1, axis=0)
+    runs = np.compress(first.take(counts, axis=0).ravel(), slots.ravel()).astype(np.int64)
+    # a run read code by code holds the pixels of the codewords since the
+    # last codeword that ended a run
+    coded = records >= _CODE
+    code = entry[coded]
+    ending = (code & _ENDS) != 0
+    runs[ends[coded][ending] - 1] = np.diff(np.cumsum(code & _PIXELS)[ending], prepend=0)
     offsets = np.concatenate(([0], ends))[row_ends]
     zeros = np.flatnonzero(runs == 0)
     rows_of_zeros = np.searchsorted(offsets, zeros, side="right") - 1
@@ -427,11 +410,11 @@ def mh_encode_row(row: Sequence[int]) -> str:
 
 def mh_decode_row(bits: str, width: int) -> RunRow:
     """Decode a single row's codewords; all bits must be consumed."""
-    keys = array("q")
-    pos = _decode_row_at(_bit_string_windows(bits), len(bits), width, 0, keys)
+    records = array("H")
+    pos = _decode_row_at(_bit_string_windows(bits), len(bits), width, 0, records)
     if pos != len(bits):
         raise FormatError(f"{len(bits) - pos} unconsumed bits after the row")
-    return tuple(_gather(keys, [0, len(keys)])[0].tolist())
+    return tuple(_gather(records, [0, len(records)])[0].tolist())
 
 
 def mh_encode_image(doc: CompressedDoc, *, eol: bool, byte_align: bool = False) -> bytes:
@@ -471,80 +454,29 @@ def _expect_eol(win, nbits: int, pos: int, row_number: int) -> int:
 # Lock step decodes the rows of an EOL-framed stream side by side while at
 # least this many are open, and restarts the rest on `_decode_row_at`; a
 # stream of fewer rows goes to the serial loop alone. An iteration of lock
-# step makes 16 numpy calls, 15 to 35 us for 100 to 1142 rows, where a step
-# of the serial loop takes about 0.5 us. Measured with numpy 2.4 on a shared
-# 2-core Xeon, medians of interleaved calls on EOL-framed byte-aligned
-# letter pages (tests/helpers.py): at 1143 rows 12.3 to 13.5 ms for 2 to 8,
-# 13.0 at 16, 13.6 at 32 and 15.0 at 64, against 30.8 ms serial. Lock step
-# costs 1.5 ms or more at any height, so the serial loop stays faster up to
-# about 128 rows (64 rows: 3.3 against 2.0 ms) and is slower from 256 (5.2
-# against 7.2 ms). 8 is the largest value at the optimum of the full page.
+# step makes a fixed number of numpy calls for all its rows, where a serial
+# step is one Python iteration, so the serial loop stays faster on streams
+# of up to about a hundred rows; 8 is the largest value at the optimum of a
+# full fax page.
 LOCKSTEP_ROWS = 8
 
-# A lock-step key is `state | window`: the state holds the color in bit
-# _PEEK, as the keys above do, and in the next bit whether the row is inside
-# a run whose make-up codes have been read but not its terminating code. A
-# row whose window starts no codeword enters the stuck state, whose keys lie
-# past the end of the tables, so that its next lookup raises IndexError.
-_INSIDE = _BLACK << 1
-_STUCK = _INSIDE << 1
-# A lock-step table entry packs `bits used << _USED | _WHOLE | _ENDS | state
-# flips | pixels`, in 32 bits. _WHOLE marks the whole-code step of a window,
-# for which the row records its key; _ENDS marks an entry that ends a run.
-_ENDS = _STUCK << 1
-_WHOLE = _ENDS << 1
-_USED = 18
 # windows per slice of the end-of-line scan
 _SCAN = 1 << 16
-
-
-@functools.cache
-def _lockstep_tables() -> tuple[np.ndarray, np.ndarray]:
-    """(step, code), per lock-step key, from `_window_tables` and the
-    codeword tables:
-
-    * code: the entry of the key's first codeword, as `_run_at` reads it;
-    * step: the entry of the key's whole-code step, which `_decode_row_at`
-      takes if the row has more pixels left than the step reads; the code
-      entry where the key has no such step.
-
-    A make-up code that enters a run counts one pixel less, and the
-    terminating code that leaves it one more, so that a row whose runs
-    reach its width only with the terminating code stays open until then.
-    """
-    outside = 2 << _PEEK  # the keys of rows outside a run come first
-    code = np.full(2 * outside, _STUCK, dtype=np.int32)
-    for color, codebook in enumerate(_CODEBOOKS):
-        for windows, length, value, terminating in _code_windows(*codebook):
-            # a terminating code ends the run and flips the color; a make-up
-            # code enters the run, or keeps the row inside it
-            entry = length << _USED | (_ENDS | _BLACK | value if terminating else _INSIDE | value - 1)
-            code[color << _PEEK :][windows] = entry
-            code[outside + (color << _PEEK) :][windows] = (entry ^ _INSIDE) + 1
-    steps = np.array(_window_tables()[0], dtype=np.int64)
-    used = steps >> _STEP_BITS
-    step = code.copy()
-    step[:outside] = np.where(
-        used <= _PEEK, used << _USED | _WHOLE | _ENDS | steps & (_BLACK | _STEP_PIXELS), code[:outside]
-    )
-    step.flags.writeable = code.flags.writeable = False  # shared by every call
-    return step, code
 
 
 def _decode_lockstep(win, nbits: int, width: int, height: int):
     """Decode the rows of an EOL-framed stream side by side, one numpy
     iteration per step of every open row.
 
-    Returns what `_lockstep_keys` turns into the keys and row ends that
-    `_decode_serial` would return, or None wherever `_decode_serial` might
-    not return: it then decodes the whole stream and gives the diagnosis.
-    Every row follows an end-of-line code, which no codeword sequence holds
-    (no two consecutive codewords hold 11 zeros in a row), so one scan finds
-    where every row starts, and a row other than the last cannot read past
-    the next end-of-line code: for it, neither a whole-code step nor a
-    codeword read reaches the end of the stream. The last row is decoded
-    serially, and the rows are checked to fill the stream as the serial
-    loop reads it.
+    Returns the records and row ends that `_decode_serial` would return, or
+    None wherever `_decode_serial` might not return: it then decodes the
+    whole stream and gives the diagnosis. Every row follows an end-of-line
+    code, which no codeword sequence holds (no two consecutive codewords
+    hold 11 zeros in a row), so one scan finds where every row starts, and
+    a row other than the last cannot read past the next end-of-line code:
+    for it, neither a whole-code step nor a codeword read reaches the end of
+    the stream. The last row is decoded serially, and the rows are checked
+    to fill the stream as the serial loop reads it.
     """
     bits = np.frombuffer(win, dtype=np.uint16)
     # in slices, so that the scan's scratch stays small next to the windows
@@ -554,9 +486,10 @@ def _decode_lockstep(win, nbits: int, width: int, height: int):
     if len(eols) != height:
         return None
     starts = eols + len(EOL)
-    step_table, code_table = _lockstep_tables()
+    table = _tables()[0]
+    step_half, code_half = table[:_CODE], table[_CODE:]
     row_end = np.empty(height, dtype=np.int64)
-    # the number of iterations each row took part in: it records an entry in each
+    # the number of records of each row: one per iteration it took part in
     present = np.zeros(height, dtype=np.int64)
     # The rows' bit positions and pixels left, in one array so that dropping
     # rows takes one call. A row whose pixels are all read stays, reading
@@ -567,7 +500,7 @@ def _decode_lockstep(win, nbits: int, width: int, height: int):
     pos, left = cursors
     state = np.zeros(height - 1, dtype=np.int32)
     rid = np.arange(height - 1)
-    # (row numbers, (keys, entries) of each iteration) between two drops
+    # (row numbers, records of each iteration) between two drops
     epochs = [(rid, [])]
     iterations = 0
     try:
@@ -588,26 +521,31 @@ def _decode_lockstep(win, nbits: int, width: int, height: int):
                 epochs.append((rid, []))
                 is_open = True
             key = bits.take(pos) | state
-            step = step_table.take(key)
-            # a row that is read takes the all-zero entry
-            entry = np.where((step & _STEP_PIXELS) < left, step, code_table.take(key) * is_open)
+            # A read row takes key 0. No codeword starts with 13 zeros, so it
+            # reads no bits and no pixels, and it records `_CODE`, which no
+            # decoded row holds.
+            key *= is_open
+            step = step_half.take(key)
+            entry = np.where((step & _PIXELS) < left, step, code_half.take(key))
             pos += entry >> _USED
-            left -= entry & _STEP_PIXELS
+            left -= entry & _PIXELS
             state ^= entry & (_BLACK | _INSIDE | _STUCK)
-            epochs[-1][1].append((key, entry))
+            key |= entry & _CODE
+            epochs[-1][1].append(key)
             iterations += 1
-    except IndexError:  # a row is stuck, where `_run_at` finds no codeword
+    except IndexError:  # a row is stuck, where the serial loop raises
         return None
-    # the rows still open, and the last row, start over on the serial decoder
+    # the rows still open, and the last row, start over on the serial loop
     tail = [*rid.tolist(), height - 1]
     serial = []
     for r in tail:
-        row_keys = array("q")
+        records = array("H")
         try:
-            row_end[r] = _decode_row_at(win, nbits, width, int(starts[r]), row_keys)
+            row_end[r] = _decode_row_at(win, nbits, width, int(starts[r]), records)
         except FormatError:
             return None
-        serial.append(np.frombuffer(row_keys, dtype=np.int64))
+        serial.append(np.frombuffer(records, dtype=np.uint16))
+        present[r] = len(records)
     # only zero fill before each end-of-line code, checked 13 bits at a time
     fill = np.concatenate(([0], row_end[:-1]))
     gap = eols - fill
@@ -621,47 +559,23 @@ def _decode_lockstep(win, nbits: int, width: int, height: int):
     last = int(row_end[-1])
     if nbits - last >= 8 or win[last]:
         return None
-    return epochs, present, tail, serial
-
-
-def _lockstep_keys(epochs, present, tail, serial):
-    """(keys, row ends) from the lock-step iterations and from the keys
-    `serial` of the rows `tail`, which started over on the serial decoder.
-
-    `epochs` holds, in order, the rows in the arrays between two drops and
-    the keys and entries they read in each iteration; a row took part in
-    `present` iterations, the first ones."""
-    # a row that took part in n iterations has n slots, its t-th entry in
-    # the t-th; a tail row has none, and its entries go to scratch at the end
-    start = np.concatenate(([0], np.cumsum(present)))
-    total = int(start[-1])
-    base = start[:-1].copy()
-    base[tail] = total
-    iterations = sum(len(steps) for _, steps in epochs)
-    key = np.empty(total + iterations, dtype=np.int64)
-    entry = np.empty(total + iterations, dtype=np.int32)
+    # Each row's records in order: the t-th iteration's in the row's slot t.
+    # The tail rows' lock-step records go to spare slots past the end.
+    ends = np.concatenate(([0], np.cumsum(present)))
+    slots = ends[:-1].copy()
+    slots[tail] = ends[-1]
+    records = np.empty(ends[-1] + iterations, dtype=np.uint16)
     t = 0
-    while epochs:  # emptied as it goes, so that placed entries are freed
+    while epochs:  # emptied as it goes, so that placed records are freed
         rid, steps = epochs.pop(0)
-        slots = base.take(rid)
-        for row_keys, row_entries in steps:
-            key[slots + t] = row_keys
-            entry[slots + t] = row_entries
+        at = slots.take(rid)
+        for step_records in steps:
+            records[at + t] = step_records
             t += 1
-    key, entry = key[:total], entry[:total]
-    # a run read code by code is the sum of its codes since the last run ended
-    whole = (entry & _WHOLE) != 0
-    sums = np.cumsum(np.where(whole, 0, entry & _STEP_PIXELS), dtype=np.int64)
-    ended = (entry & _ENDS) != 0
-    bounds = np.concatenate(([0], np.cumsum(ended)))[start]
-    key, whole, sums = key[ended], whole[ended], sums[ended]
-    key[~whole] = ~np.diff(sums[~whole], prepend=0)
-    # the serial rows' keys go between the rows around them
-    pieces = np.split(key, bounds[tail])
-    key = np.concatenate([part for pair in zip(pieces, serial) for part in pair] + pieces[-1:])
-    counts = np.diff(bounds)
-    counts[tail] = [len(k) for k in serial]
-    return key, np.concatenate(([0], np.cumsum(counts)))
+    for r, row in zip(tail, serial):
+        records[ends[r] : ends[r + 1]] = row
+    decoded = records[: ends[-1]] != _CODE
+    return records[: ends[-1]][decoded], np.concatenate(([0], np.cumsum(decoded)))[ends]
 
 
 def mh_decode_image(
@@ -672,21 +586,20 @@ def mh_decode_image(
         raise ValidationError(f"bad dimensions {width} x {height}")
     win = _windows(data)
     nbits = 8 * len(data)
-    lockstep = serial = None
+    decoded = None
     if eol and height >= LOCKSTEP_ROWS:
-        lockstep = _decode_lockstep(win, nbits, width, height)
-    if lockstep is None:
-        serial = _decode_serial(win, nbits, width, height, eol, byte_align)
+        decoded = _decode_lockstep(win, nbits, width, height)
+    if decoded is None:
+        decoded = _decode_serial(win, nbits, width, height, eol, byte_align)
     del win  # two bytes per bit of input, not needed to build the runs
-    keys, row_ends = serial or _lockstep_keys(*lockstep)
-    return CompressedDoc._trusted(width, height, *_gather(keys, row_ends))
+    return CompressedDoc._trusted(width, height, *_gather(*decoded))
 
 
 def _decode_serial(win, nbits: int, width: int, height: int, eol: bool, byte_align: bool):
-    """Decode and check the stream row by row; returns (keys, row ends)."""
+    """Decode and check the stream row by row; returns (records, row ends)."""
     pos = 0
     # grown row by row, so a stream that ends early costs no more than it holds
-    keys = array("q")
+    records = array("H")
     row_ends = [0]
     for number in range(1, height + 1):
         if eol:
@@ -697,10 +610,10 @@ def _decode_serial(win, nbits: int, width: int, height: int, eol: bool, byte_ali
                 raise FormatError(f"nonzero padding bits before row {number}")
             pos += fill
         try:
-            pos = _decode_row_at(win, nbits, width, pos, keys)
+            pos = _decode_row_at(win, nbits, width, pos, records)
         except FormatError as exc:
             raise FormatError(f"row {number}: {exc}") from None
-        row_ends.append(len(keys))
+        row_ends.append(len(records))
     if nbits - pos >= 8 or win[pos]:
         raise FormatError(f"trailing data after the last row at bit {pos}")
-    return keys, row_ends
+    return records, row_ends

@@ -42,7 +42,7 @@ from runblock import (
     write_pbm,
     write_rle,
 )
-from runblock.mh import _decode_run, _encode_run
+from runblock.mh import BLACK_TERMINATING, WHITE_TERMINATING
 
 from helpers import (
     log_uniform_dim,
@@ -211,8 +211,9 @@ def test_criterion_5_feature_oracle_equivalence():
 
 def test_criterion_6_codec_round_trips():
     """PBM (P1 and P4) and RLC1 round-trip bit-exactly on 500 random
-    images; the fax codec round-trips every single-run length 0..2600 in
-    both colors and 1000 random multi-run rows. Zero tolerance."""
+    images; the fax codec round-trips every single-run length 1..2600 in
+    both colors, decodes zero-length runs of both colors inside a row, and
+    round-trips 1000 random multi-run rows. Zero tolerance."""
     with criterion(6, "codec round-trips"):
         rng = np.random.default_rng(0xC6)
         for _ in range(500):
@@ -226,13 +227,17 @@ def test_criterion_6_codec_round_trips():
             assert read_rle(data) == doc
             assert write_rle(read_rle(data)) == data
 
-        for length in range(0, 2601):
-            for white in (True, False):
-                bits = _encode_run(length, white)
-                assert _decode_run(bits, 0, white) == (length, len(bits))
-            if length >= 1:
-                assert mh_decode_row(mh_encode_row((length,)), length) == (length,)
-                assert mh_decode_row(mh_encode_row((0, length)), length) == (0, length)
+        # white runs as (length,), black runs and white 0 as (0, length)
+        for length in range(1, 2601):
+            assert mh_decode_row(mh_encode_row((length,)), length) == (length,)
+            assert mh_decode_row(mh_encode_row((0, length)), length) == (0, length)
+        # white 1, black 0, white 1, black 1, white 0, black 1: zero-length
+        # runs of both colors inside a row, as foreign encoders write them
+        zero_runs = "".join([
+            WHITE_TERMINATING[1], BLACK_TERMINATING[0], WHITE_TERMINATING[1],
+            BLACK_TERMINATING[1], WHITE_TERMINATING[0], BLACK_TERMINATING[1],
+        ])
+        assert mh_decode_row(zero_runs, 4) == (2, 2)
 
         for _ in range(1000):
             width = int(rng.integers(1, 600))

@@ -25,15 +25,13 @@ from runblock.mh import (
     WHITE_MAKEUP,
     WHITE_TERMINATING,
     _BLACK,
-    _BLACK_DECODE,
+    _CODE,
+    _INSIDE,
     _PEEK,
+    _RUNS,
     _SLOTS,
-    _STEP_BITS,
-    _STEP_PIXELS,
-    _WHITE_DECODE,
-    _decode_run,
-    _encode_run,
-    _window_tables,
+    _STUCK,
+    _USED,
 )
 
 from helpers import letter_like_doc, random_grid, text_like_doc, text_like_row
@@ -305,12 +303,22 @@ class TestRowCodec:
             mh_decode_row("0" * 20, 4000)
 
 
+# white 1, black 0, white 1, black 1, white 0, black 1: a foreign encoder's
+# row of width 4 with a zero-length run of each color inside it
+ZERO_RUNS_ROW = "".join([
+    WHITE_TERMINATING[1], BLACK_TERMINATING[0], WHITE_TERMINATING[1],
+    BLACK_TERMINATING[1], WHITE_TERMINATING[0], BLACK_TERMINATING[1],
+])
+
+
 def test_run_codec_exhaustive_sample():
-    for white in (True, False):
-        for length in list(range(0, 200)) + [63, 64, 1728, 1792, 2560, 2623, 2624, 3000]:
-            bits = _encode_run(length, white)
-            value, pos = _decode_run(bits, 0, white)
-            assert (value, pos) == (length, len(bits))
+    # white runs as (length,), black runs as (0, length)
+    for length in list(range(1, 200)) + [1728, 1792, 2560, 2623, 2624, 3000]:
+        for row in ((length,), (0, length)):
+            bits = mh_encode_row(row)
+            assert bits == "".join(ref_row_codewords(row))
+            assert mh_decode_row(bits, length) == row
+    assert mh_decode_row(ZERO_RUNS_ROW, 4) == (2, 2)
 
 
 class TestImageCodec:
@@ -413,9 +421,9 @@ class TestEncodeMatchesReference:
                 assert mh_encode_image(doc, eol=eol, byte_align=byte_align) == ref_encode_image(doc, eol, byte_align)
         for row in rows:
             assert mh_encode_row(row) == "".join(ref_row_codewords(row))
-        for white in (True, False):
-            for length in list(range(0, 2601)) + [2623, 2624, 5183, 5184, 9000]:
-                assert _encode_run(length, white) == "".join(ref_codewords(length, white))
+        for length in (2623, 2624, 5183, 5184, 9000):
+            for row in ((length,), (0, length)):
+                assert mh_encode_row(row) == "".join(ref_row_codewords(row))
 
     @pytest.mark.parametrize("page", ["a4_doc", "letter_doc"])
     def test_pages(self, page, request):
@@ -652,32 +660,54 @@ class TestDecodeMatchesReference:
         assert str(exc.value) == message
 
 
-def test_window_tables_match_codeword_steps():
-    # every key against a decode of its window one codeword at a time
-    steps, slot_runs, counts = _window_tables()
-    assert len(steps) == 2 << _PEEK
-    for key, step in enumerate(steps):
-        window, black = key & (1 << _PEEK) - 1, key >> _PEEK
-        used, runs = 0, []
-        while True:
-            table = _BLACK_DECODE if black else _WHITE_DECODE
-            n, value, terminating = table[window << used & (1 << _PEEK) - 1]
-            if not terminating or used + n > _PEEK:
-                break
-            used += n
-            runs.append(value)
-            black ^= 1
-        assert counts[key] == len(runs), key
-        assert slot_runs[key].tolist() == runs + [0] * (_SLOTS - len(runs)), key
-        assert step & _STEP_PIXELS == sum(runs), key
-        assert step & _BLACK == (len(runs) % 2) * _BLACK, key
-        if runs:
-            assert step >> _STEP_BITS == used, key
-        else:
-            # so that the decoder falls back to one run for any stream
-            assert step >> _STEP_BITS >= 2**48, key
-    # the key of a single run, filled in by the decoder
-    assert counts[-1] == 1 and not slot_runs[-1].any()
+def ref_first_code(window: int, white: bool):
+    """(bits, is terminating, run value) of the codeword at the start of a
+    13-bit window, by the string codebooks, or None."""
+    table = _REF_WHITE_DECODE if white else _REF_BLACK_DECODE
+    bits = f"{window:0{_PEEK}b}"
+    for n in range(2, _PEEK + 1):
+        if bits[:n] in table:
+            return (n, *table[bits[:n]])
+    return None
+
+
+def test_decode_table_matches_reference_codebooks():
+    table, entries, slot_runs, steps = mh._tables()
+    assert table.shape == (2 * _CODE,) and entries.tolist() == table.tolist()
+    for state in (0, _BLACK, _INSIDE, _INSIDE | _BLACK):
+        black, inside = bool(state & _BLACK), bool(state & _INSIDE)
+        for window in range(1 << _PEEK):
+            key = state | window
+            # the codeword entry
+            code = ref_first_code(window, not black)
+            if code is None:
+                expected = _CODE | _STUCK
+            else:
+                n, terminating, value = code
+                # a make-up code that enters a run counts one pixel less, and
+                # the terminating code that leaves it one more
+                pixels = value - (not terminating and not inside) + (terminating and inside)
+                flips = _BLACK * terminating | _INSIDE * (terminating == inside)
+                expected = n << _USED | terminating << _RUNS | _CODE | flips | pixels
+            assert table[_CODE | key] == expected, key
+            # the whole-code step: terminating codes while they end inside the window
+            used, runs, color = 0, [], black
+            while not inside:
+                code = ref_first_code(window << used & (1 << _PEEK) - 1, not color)
+                if code is None or not code[1] or used + code[0] > _PEEK:
+                    break
+                used += code[0]
+                runs.append(code[2])
+                color = not color
+            if runs:
+                step = used << _USED | len(runs) << _RUNS | len(runs) % 2 * _BLACK | sum(runs)
+                assert table[key] == steps[key] == step, key
+                assert slot_runs[key].tolist() == runs + [0] * (_SLOTS - len(runs)), key
+            else:
+                assert table[key] == table[_CODE | key], key
+                if not inside:
+                    # so that the serial loop reads one run for any stream
+                    assert steps[key] >> _USED >= 2**40, key
 
 
 @st.composite
@@ -705,10 +735,10 @@ def foreign_rows(draw, width):
 
 
 @st.composite
-def mh_streams(draw):
+def mh_streams(draw, framings=FRAMINGS, cuts=(0, 0, *range(1, 14))):
     """(data, width, height, eol, byte_align): a framed stream of foreign
     rows, whole or cut inside its last 13 bits."""
-    eol, byte_align = draw(st.sampled_from(FRAMINGS))
+    eol, byte_align = draw(st.sampled_from(framings))
     # narrow rows end inside a window; wide ones take make-up codes mid-row
     width = draw(st.one_of(st.integers(1, 40), st.integers(41, 6000)))
     height = draw(st.integers(1, 4))
@@ -718,7 +748,7 @@ def mh_streams(draw):
         for row in rows
     ]
     bits = "".join(ref_frame(codewords, eol, byte_align)[:-1])  # without the final pad
-    cut = draw(st.sampled_from([0, 0, *range(1, 14)]))
+    cut = draw(st.sampled_from(cuts))
     return pack(bits[: len(bits) - cut]), width, height, eol, byte_align
 
 
@@ -733,3 +763,29 @@ def test_decoder_matches_reference_on_foreign_streams(stream):
     expected = outcome(ref_decode_image, data, width, height, eol, byte_align)
     got = decoder_outcomes(data, width, height, eol, byte_align)
     assert got == [expected] * len(got)
+
+
+def assert_lockstep_records_are_serial(data: bytes, width: int, height: int, byte_align: bool):
+    """Lock step, with as many open rows as shipped and down to one and two,
+    gives the records and row ends of the serial loop, element by element."""
+    win = mh._windows(data)
+    records, row_ends = mh._decode_serial(win, 8 * len(data), width, height, True, byte_align)
+    for rows in (1, 2, mh.LOCKSTEP_ROWS):
+        with patch.object(mh, "LOCKSTEP_ROWS", rows):
+            got = mh._decode_lockstep(win, 8 * len(data), width, height)
+        assert got is not None, rows
+        assert got[0].tolist() == records.tolist(), rows
+        assert got[1].tolist() == row_ends, rows
+
+
+@pytest.mark.parametrize("byte_align", [True, False], ids=["eol-aligned", "eol"])
+def test_lockstep_records_match_serial_on_letter_page(letter_doc, byte_align):
+    data = mh_encode_image(letter_doc, eol=True, byte_align=byte_align)
+    assert_lockstep_records_are_serial(data, letter_doc.width, letter_doc.height, byte_align)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mh_streams(framings=FRAMINGS[:2], cuts=(0,)))
+def test_lockstep_records_match_serial_on_foreign_streams(stream):
+    data, width, height, _, byte_align = stream
+    assert_lockstep_records_are_serial(data, width, height, byte_align)
