@@ -5,10 +5,9 @@ the block is located inside each selected run row by a binary search over
 the cumulative run sum of the selected rows, offset by the pixels above
 them. It is monotone, so each row's search is confined to that row's runs,
 and building it costs the block's rows, not the page's. All selected rows
-are searched at once, first for y1 and then for y2. `extract_block_detailed`,
-which counts the run entries read, runs its own lock-step binary search,
-whose end search starts at the start run; the other callers take numpy's
-`searchsorted`, which finds the same runs. The result is a boundary record
+are searched at once by one lock-step binary search, first for y1 and then
+for y2 from the start run on. It marks every run entry it reads, which
+gives `extract_block_detailed` its count. The result is a boundary record
 per row (start run index, start residue, end run index, end residue), and
 the block is cut out by one gather of the runs from the start run to the
 end run of every row, plus fixes to the two edge runs. No pixel buffer is
@@ -119,33 +118,27 @@ def _search(cumsum, lo, hi, target, seen):
     return lo
 
 
-def _bounds(doc: CompressedDoc, x1: int, x2: int, y1: int, y2: int, seen=None):
+def _bounds(doc: CompressedDoc, x1: int, x2: int, y1: int, y2: int):
     """Run indices and residues of the boundaries of rows x1..x2 (0-based,
-    exclusive end) at columns y1 and y2 (1-based). The indices count from
-    the first run of row x1.
+    exclusive end) at columns y1 and y2 (1-based), and `seen`, a boolean
+    array over those rows' runs that marks every entry the searches read.
+    The indices count from the first run of row x1.
 
-    The searches read the cumulative sum of those rows' runs alone, offset
-    by the pixels above them, so their cost follows the block, not the page.
-    With `seen`, a boolean array over those runs, they are lock-step binary
-    searches that mark every entry they read. Without it, numpy's
-    `searchsorted` over the cumulative sum, which is monotone, finds the
-    same runs."""
+    Lock-step binary searches read the cumulative sum of those rows' runs
+    alone, offset by the pixels above them, so their cost follows the block,
+    not the page."""
     width, base = doc.width, doc.offsets[x1]
     cumsum = np.add.accumulate(doc.runs[base : doc.offsets[x2]])
     cumsum += x1 * width
+    seen = np.zeros(cumsum.size, dtype=bool)
     starts = doc.offsets[x1:x2] - base
+    last = doc.offsets[x1 + 1 : x2 + 1] - (base + 1)
     # the targets: the pixels above each row plus the column
     start_at = np.arange(x1 * width + y1, x2 * width + y1, width)
     end_at = start_at + (y2 - y1)
-    if seen is None:
-        p1, p2 = cumsum.searchsorted(start_at), cumsum.searchsorted(end_at)
-    else:
-        last = doc.offsets[x1 + 1 : x2 + 1] - (base + 1)
-        p1 = _search(cumsum, starts, last, start_at, seen)
-        p2 = _search(cumsum, p1, last, end_at, seen)
-    r1 = cumsum[p1] - start_at
-    r1 += 1
-    return starts, p1, r1, p2, cumsum[p2] - end_at
+    p1 = _search(cumsum, starts, last, start_at, seen)
+    p2 = _search(cumsum, p1, last, end_at, seen)
+    return (starts, p1, cumsum[p1] - start_at + 1, p2, cumsum[p2] - end_at), seen
 
 
 def _cut(runs, starts, p1, r1, p2, r2) -> tuple[np.ndarray, np.ndarray]:
@@ -217,7 +210,7 @@ def build_position_table(doc: CompressedDoc, spec: BlockSpec) -> list[BoundaryRe
     the horizontal segmentation.
     """
     spec.validate_for(doc.width, doc.height)
-    return _records(*_bounds(doc, spec.x1 - 1, spec.x2, spec.y1, spec.y2))
+    return _records(*_bounds(doc, spec.x1 - 1, spec.x2, spec.y1, spec.y2)[0])
 
 
 def trim_row(row: Sequence[int], rec: BoundaryRecord, width: int | None = None) -> RunRow:
@@ -254,13 +247,12 @@ def trim_row(row: Sequence[int], rec: BoundaryRecord, width: int | None = None) 
     return out
 
 
-def _extract(doc: CompressedDoc, spec: BlockSpec, count: bool = False):
-    """The block, its boundaries and, with `count`, the run entries that the
-    searches read, marked over the runs of the selected rows."""
+def _extract(doc: CompressedDoc, spec: BlockSpec):
+    """The block, its boundaries and the run entries that the searches read,
+    marked over the runs of the selected rows."""
     spec.validate_for(doc.width, doc.height)
+    bounds, seen = _bounds(doc, spec.x1 - 1, spec.x2, spec.y1, spec.y2)
     first = doc.offsets[spec.x1 - 1]
-    seen = np.zeros(doc.offsets[spec.x2] - first, dtype=bool) if count else None
-    bounds = _bounds(doc, spec.x1 - 1, spec.x2, spec.y1, spec.y2, seen)
     return CompressedDoc._trusted(spec.width, spec.height, *_cut(doc.runs[first:], *bounds)), bounds, seen
 
 
@@ -268,7 +260,7 @@ def extract_block_detailed(
     doc: CompressedDoc, spec: BlockSpec
 ) -> tuple[CompressedDoc, list[BoundaryRecord], ExtractionStats]:
     """Extract a block and report the position table and work counters."""
-    block, bounds, seen = _extract(doc, spec, count=True)
+    block, bounds, seen = _extract(doc, spec)
     stats = ExtractionStats(
         rows=spec.height, runs_visited=int(np.count_nonzero(seen)), runs_emitted=block.total_runs()
     )

@@ -30,6 +30,18 @@ from .errors import ConsistencyError, FormatError
 RLC_MAGIC = "RLC1"
 
 
+def _dimensions(fields: list[bytes], kind: str) -> tuple[int, int]:
+    """(width, height) from the two decimal fields of a `kind` header.
+
+    Zero padding is allowed: the fields are read as str(int(field)) without
+    int()'s limit on the length of a field, which a long one would raise as
+    a ValueError."""
+    numbers = [f.lstrip(b"0").decode() or "0" for f in fields]
+    if any(len(n) > len(str(MAX_DIM)) or not 1 <= int(n) <= MAX_DIM for n in numbers):
+        raise FormatError(f"bad {kind} dimensions {numbers[0]} x {numbers[1]}")
+    return int(numbers[0]), int(numbers[1])
+
+
 # ---------------------------------------------------------------- PBM
 
 # Byte kinds in a P1 raster: 0 whitespace, 1 a pixel digit, 2 anything else.
@@ -60,12 +72,10 @@ def _parse_pbm_header(data: bytes) -> tuple[bytes, int, int, int]:
             start = pos
             while pos < len(data) and data[pos] in b"0123456789":
                 pos += 1
-            fields.append(int(data[start:pos]))
+            fields.append(data[start:pos])
         else:
             raise FormatError(f"unexpected byte {bytes([c])!r} at byte {pos} in PBM header")
-    width, height = fields
-    if not 1 <= width <= MAX_DIM or not 1 <= height <= MAX_DIM:
-        raise FormatError(f"bad PBM dimensions {width} x {height}")
+    width, height = _dimensions(fields, "PBM")
     if magic == b"P4":
         # exactly one whitespace byte separates the header from the raster
         if pos >= len(data) or data[pos] not in b" \t\r\n":
@@ -162,11 +172,7 @@ def _parse_rle_header(data: bytes) -> tuple[int, int, int]:
     dims = line.split(b" ")
     if len(dims) != 2 or not all(d.isdigit() for d in dims):
         raise FormatError(f"bad RLC1 dimension line {_text(line)!r}")
-    # str(int(d)) without int()'s limit on the length of a zero-padded field
-    numbers = [d.lstrip(b"0").decode() or "0" for d in dims]
-    if any(len(n) > len(str(MAX_DIM)) or not 1 <= int(n) <= MAX_DIM for n in numbers):
-        raise FormatError(f"bad RLC1 dimensions {numbers[0]} x {numbers[1]}")
-    return int(numbers[0]), int(numbers[1]), end + 1
+    return *_dimensions(dims, "RLC1"), end + 1
 
 
 def _text(line: bytes) -> str:

@@ -7,12 +7,16 @@ codes (multiples of 64, color-specific up to 1728, shared "extended" codes
 up to 2560) followed by a terminating code. Runs longer than 2623 are
 handled by repeating the 2560 make-up code.
 
-Codewords travel as integers. The encoder looks up the (code, bit count)
-pair of each codeword and packs the pairs into an integer, from which it
-moves whole bytes out as it grows. The decoder first computes, for every
-bit position of the stream, the 13 bits that start there (zero past the
-end). The codes are prefix-free, so a lookup of the zero-padded window
-names exactly the codeword a bit-by-bit search would find.
+Both directions read the same codebooks. The encoder is array code over
+one table of (code, bit count) pairs: `np.repeat` turns each run into its
+codewords, `np.insert` adds one pseudo-codeword per row for the framing
+(fill and end-of-line code, or fill alone), and each codeword, left-aligned
+in 24 bits, is unpacked to one byte per bit and cut to its length. It works
+on a chunk of rows at a time, so its temporaries follow a chunk, not the
+page. The decoder first computes, for every bit position of the stream,
+the 13 bits that start there (zero past the end). The codes are
+prefix-free, so a lookup of the zero-padded window names exactly the
+codeword a bit-by-bit search would find.
 
 The decoder reads one table of two entries per key, a window together with
 the row's color and whether the row is inside a run. The whole-code entry
@@ -67,6 +71,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import core
 from .core import MAX_DIM, CompressedDoc, RunRow, canonicalize_row, is_canonical
 from .errors import FormatError, ValidationError
 
@@ -132,68 +137,6 @@ _WHITE_MAKEUP_ALL = {**WHITE_MAKEUP, **EXTENDED_MAKEUP}
 _BLACK_MAKEUP_ALL = {**BLACK_MAKEUP, **EXTENDED_MAKEUP}
 
 
-def _int_code(code: str) -> tuple[int, int]:
-    return int(code, 2), len(code)
-
-
-# (code, bit count) pairs for the encoder
-_WHITE_CODES = [_int_code(c) for c in WHITE_TERMINATING]
-_BLACK_CODES = [_int_code(c) for c in BLACK_TERMINATING]
-_WHITE_MAKEUP_CODES = {run: _int_code(c) for run, c in _WHITE_MAKEUP_ALL.items()}
-_BLACK_MAKEUP_CODES = {run: _int_code(c) for run, c in _BLACK_MAKEUP_ALL.items()}
-
-# The encoder moves whole bytes out of its integer accumulator once it holds
-# more bits than this, so that shifting the accumulator costs the same at
-# any row width.
-_FLUSH_BITS = 1024
-
-
-def _run_code(length: int, white: bool) -> tuple[int, int]:
-    """(code, bit count) of the codewords for one run of the given color."""
-    if length < 0:
-        raise ValidationError(f"negative run length {length}")
-    repeats = max(0, -(-(length - MAX_SINGLE_RUN) // MAX_MAKEUP))
-    length -= repeats * MAX_MAKEUP
-    code, n = (_WHITE_CODES if white else _BLACK_CODES)[length % 64]
-    if length >= 64:
-        head, bits = (_WHITE_MAKEUP_CODES if white else _BLACK_MAKEUP_CODES)[length - length % 64]
-        code, n = head << n | code, bits + n
-    if repeats:
-        # built from a string: shifting the code in one make-up code at a
-        # time would take time quadratic in the run length
-        longest = EXTENDED_MAKEUP[MAX_MAKEUP]
-        code, n = int(longest * repeats, 2) << n | code, len(longest) * repeats + n
-    return code, n
-
-
-def _flush(out: bytearray, acc: int, nbits: int) -> tuple[int, int]:
-    """Move the whole bytes of the `nbits` low bits of `acc` to `out`."""
-    keep = nbits % 8
-    out += (acc >> keep).to_bytes(nbits // 8, "big")
-    return acc & (1 << keep) - 1, keep
-
-
-def _put_row(out: bytearray, acc: int, nbits: int, row: Sequence[int]) -> tuple[int, int]:
-    """Append one row's codewords to the bit stream held in `out` and in the
-    `nbits` low bits of `acc`; returns the new (acc, nbits)."""
-    codes, other = _WHITE_CODES, _BLACK_CODES
-    for length in row:
-        if 0 <= length < 64:
-            code, n = codes[length]
-        else:
-            code, n = _run_code(length, codes is _WHITE_CODES)
-        acc = acc << n | code
-        nbits += n
-        if nbits > _FLUSH_BITS:
-            acc, nbits = _flush(out, acc, nbits)
-        codes, other = other, codes
-    return acc, nbits
-
-
-def _bit_string(code: int, nbits: int) -> str:
-    return f"{code:0{nbits}b}" if nbits else ""
-
-
 # Bits in a decoder window: the longest codeword (black make-up codes of
 # 13 bits). A window starting at an end-of-line code reads 12 bits of it.
 _PEEK = 13
@@ -213,6 +156,55 @@ def _code_windows(terminating, makeup):
 
 # (terminating codes, make-up codes) of each color, white first
 _CODEBOOKS = ((WHITE_TERMINATING, _WHITE_MAKEUP_ALL), (BLACK_TERMINATING, _BLACK_MAKEUP_ALL))
+
+
+@functools.cache
+def _code_table() -> np.ndarray:
+    """(code, bit count) of every codeword, by color: the terminating code of
+    a run of v pixels at index v, and the make-up code of v at 63 + v // 64."""
+    table = np.zeros((2, 64 + MAX_MAKEUP // 64, 2), dtype=np.int32)
+    for color, (terminating, makeup) in enumerate(_CODEBOOKS):
+        for index, code in [*enumerate(terminating), *((63 + v // 64, c) for v, c in makeup.items())]:
+            table[color, index] = int(code, 2), len(code)
+    table.flags.writeable = False  # shared by every call
+    return table
+
+
+def _row_bits(runs: np.ndarray, offsets: np.ndarray, eol: bool, byte_align: bool, carry: int) -> np.ndarray:
+    """The framed codewords of the rows (runs, offsets), one uint8 per bit.
+
+    `carry` is the number of stream bits before the rows, or that number
+    modulo 8: it sets the fill before the first end-of-line code."""
+    if (runs < 0).any():
+        raise ValidationError(f"negative run length {runs[runs < 0][0]}")
+    # a run's color is the parity of its index within its row
+    color = (np.arange(runs.size) - np.repeat(offsets[:-1], np.diff(offsets))) & 1
+    # A run becomes three slots of codewords: the 2560 make-up code
+    # `repeats` times, a make-up code for the rest when it is over 63, and
+    # the terminating code of the rest.
+    repeats = np.maximum(-(-(runs - MAX_SINGLE_RUN) // MAX_MAKEUP), 0)
+    rest = runs - repeats * MAX_MAKEUP
+    table = _code_table()
+    index = np.stack([np.full_like(rest, 63 + MAX_MAKEUP // 64), 63 + rest // 64, rest % 64], axis=1)
+    index += table.shape[1] * color[:, None]  # black's codes follow white's in the flat table
+    times = np.stack([repeats, rest > 63, np.ones_like(rest)], axis=1).ravel()
+    words = table.reshape(-1, 2).take(np.repeat(index.ravel(), times), axis=0)
+    # the first codeword and the first bit of each row
+    starts = np.concatenate(([0], np.cumsum(times)))[3 * offsets]
+    row_bits = np.diff(np.concatenate(([0], np.cumsum(words[:, 1])))[starts])
+    # One pseudo-codeword per row frames it: the fill and the end-of-line
+    # code before the row, or without end-of-line codes the row's own fill
+    # after it. `ahead` counts the bits from the last byte boundary to where
+    # the fill goes; without end-of-line codes an aligned stream is at a
+    # byte boundary after every row.
+    ahead = np.concatenate(([carry], row_bits[:-1])) + len(EOL) if eol else row_bits
+    fill = -ahead % 8 * byte_align
+    frame = np.stack([np.full_like(fill, eol), fill + eol * len(EOL)], axis=1)
+    code, length = np.insert(words, starts[:-1] if eol else starts[1:], frame, axis=0).T
+    # each codeword left-aligned in 24 bits, cut to its length; fill and
+    # end-of-line code take at most 7 + 12
+    aligned = (code << 24 - length).astype(">u4").view(np.uint8).reshape(-1, 4)[:, 1:]
+    return np.unpackbits(aligned, axis=1)[np.arange(24, dtype=length.dtype) < length[:, None]]
 
 
 def _windows(data: bytes) -> memoryview:
@@ -403,9 +395,9 @@ def mh_encode_row(row: Sequence[int]) -> str:
     """Encode one canonical run row as a '0'/'1' codeword string."""
     if not is_canonical(row):
         raise ValidationError(f"run row is not canonical: {list(row)}")
-    out = bytearray()
-    acc, nbits = _put_row(out, 0, 0, row)
-    return _bit_string(int.from_bytes(out, "big"), 8 * len(out)) + _bit_string(acc, nbits)
+    runs = np.asarray(row, dtype=np.int64)
+    bits = _row_bits(runs, np.array([0, runs.size]), eol=False, byte_align=False, carry=0)
+    return (bits + ord("0")).tobytes().decode()
 
 
 def mh_decode_row(bits: str, width: int) -> RunRow:
@@ -418,24 +410,21 @@ def mh_decode_row(bits: str, width: int) -> RunRow:
 
 
 def mh_encode_image(doc: CompressedDoc, *, eol: bool, byte_align: bool = False) -> bytes:
-    """Encode a whole document under the chosen framing (see module docs)."""
-    out = bytearray()
-    # the stream is `out`, which holds whole bytes, then the `nbits` low
-    # bits of `acc`; so `nbits` modulo 8 is the stream's, which sets the fill
-    acc = nbits = 0
-    for row in doc.rows:
-        if eol:
-            fill = -(nbits + len(EOL)) % 8 if byte_align else 0
-            acc = acc << (fill + len(EOL)) | 1  # EOL: eleven zeros and a one
-            nbits += fill + len(EOL)
-        acc, nbits = _put_row(out, acc, nbits, row)
-        if not eol and byte_align:
-            fill = -nbits % 8
-            acc <<= fill
-            nbits += fill
-    pad = -nbits % 8
-    _flush(out, acc << pad, nbits + pad)
-    return bytes(out)
+    """Encode a whole document under the chosen framing (see module docs).
+
+    The rows go to `_row_bits` in the row chunks of `core.decode_image`, so
+    that its temporaries follow a chunk, not the page. Each chunk's whole
+    bytes are packed, and its last bits carried into the next chunk."""
+    parts, tail = [], np.zeros(0, dtype=np.uint8)
+    step = max(1, core.CHUNK_PIXELS // doc.width)
+    for top in range(0, doc.height, step):
+        bounds = doc.offsets[top : top + step + 1]
+        rows = _row_bits(doc.runs[bounds[0] : bounds[-1]], bounds - bounds[0], eol, byte_align, tail.size)
+        bits = np.concatenate((tail, rows))
+        whole, tail = np.split(bits, [bits.size & -8])
+        parts.append(np.packbits(whole).tobytes())
+    parts.append(np.packbits(tail).tobytes())
+    return b"".join(parts)
 
 
 def _expect_eol(win, nbits: int, pos: int, row_number: int) -> int:

@@ -1,7 +1,8 @@
-"""Whole-page compression, serialization and expansion cut a page into row
-chunks; compression runs them on the thread pool when there is more than
-one. These tests shrink the chunk constants so that small pages split into
-many chunks, and check that the seams between chunks change nothing."""
+"""Whole-page compression, serialization, expansion and MH encoding cut a
+page into row chunks; compression runs them on the thread pool when there
+is more than one. These tests shrink the chunk constants so that small
+pages split into many chunks, and check that the seams between chunks
+change nothing."""
 
 import multiprocessing
 import os
@@ -13,9 +14,10 @@ import pytest
 
 import runblock.core as core
 import runblock.formats as formats
-from runblock import decode_image, encode_image, write_rle
+from runblock import decode_image, encode_image, mh_encode_image, write_rle
 
 from helpers import letter_like_doc, random_grid, text_like_doc
+from test_mh import FRAMINGS, LONG_RUN_DOC, ref_encode_image
 
 
 def ref_encode_row(row) -> tuple:
@@ -82,6 +84,12 @@ def test_chunked_codec_matches_one_chunk_and_references(monkeypatch, rows_per_ch
             assert not doc.runs.flags.writeable and not doc.offsets.flags.writeable
         assert write_rle(whole) == whole_text
         assert np.array_equal(decode_image(whole), grid)
+        for eol, byte_align in FRAMINGS:
+            assert mh_encode_image(whole, eol=eol, byte_align=byte_align) == ref_encode_image(whole, eol, byte_align)
+    monkeypatch.setattr(core, "CHUNK_PIXELS", rows_per_chunk * LONG_RUN_DOC.width)
+    for eol, byte_align in FRAMINGS:
+        data = mh_encode_image(LONG_RUN_DOC, eol=eol, byte_align=byte_align)
+        assert data == ref_encode_image(LONG_RUN_DOC, eol, byte_align)
 
 
 def test_one_chunk_call_leaves_the_pool_unstarted(monkeypatch):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from runblock import (
@@ -486,6 +486,25 @@ class TestInfo:
         assert (code, stdout) == (3, "")
         assert err == "runblock: error: P1 raster is 3 bytes, too short for 40000000000 pixels\n"
 
+    def test_pbm_dimension_beyond_int_digit_limit_exits_3(self, tmp_path, capsys):
+        long, padded = tmp_path / "long.pbm", tmp_path / "padded.pbm"
+        long.write_bytes(b"P1\n" + b"1" * 5000 + b" 1\n0\n")
+        padded.write_bytes(b"P1\n" + b"0" * 5000 + b"1 1\n0\n")
+        rect = ["--x1", "1", "--x2", "1", "--y1", "1", "--y2", "1"]
+        for argv in (
+            ["info", long],
+            ["encode", long, tmp_path / "out.rlc"],
+            ["extract", long, tmp_path / "out.rlc", *rect],
+            ["characterize", long],
+        ):
+            code, stdout, err = run(capsys, *argv)
+            assert (code, stdout) == (3, "")
+            assert err.startswith("runblock: error: bad PBM dimensions 1111")
+            assert "Traceback" not in err
+        code, stdout, _ = run(capsys, "info", padded, "--json")
+        assert code == 0
+        assert (json.loads(stdout)["width"], json.loads(stdout)["height"]) == (1, 1)
+
     def test_unknown_format_exits_3(self, tmp_path, capsys):
         junk = tmp_path / "junk.bin"
         junk.write_bytes(b"\x89PNG....")
@@ -562,12 +581,14 @@ FUZZ_SOURCES = {
     "p4": write_pbm(decode_image(FUZZ_PAGE)),
 }
 FUZZ_BLOCK = write_rle(extract_block(FUZZ_PAGE, BlockSpec(2, 5, 3, 30)))
-FUZZ_INSERTS = {"space": b" ", "newline": b"\n", "comment": b"# c\n"}
+# "digits" is one past int()'s default limit of 4300 digits, so that a
+# field it lands in cannot be read with a plain int()
+FUZZ_INSERTS = {"space": b" ", "newline": b"\n", "comment": b"# c\n", "digits": b"1" * 4301}
 
 
 def mutate(data: bytes, edits) -> bytes:
     """Apply bit flips, truncations, appended bytes and inserted digits,
-    spaces, newlines and comments, in order."""
+    spaces, newlines, comments and runs of digits, in order."""
     out = bytearray(data)
     for kind, where, extra in edits:
         if kind == "flip":
@@ -598,6 +619,8 @@ def mutate(data: bytes, edits) -> bytes:
         max_size=3,
     ),
 )
+# a PBM width field of 4303 digits
+@example(source="p1", command=["info", "{inp}"], edits=[("digits", 3, b"\0")])
 def test_mutated_input_exit_codes_every_command(source, command, edits):
     """Every command on mutated RLC1, P1 and P4 input ends in an exit code of
     the contract with a diagnostic, never in a traceback."""

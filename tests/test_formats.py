@@ -14,7 +14,7 @@ from runblock import (
     write_pbm,
     write_rle,
 )
-from runblock.formats import rle_header
+from runblock.formats import pbm_header, rle_header
 
 from helpers import random_doc, random_grid, text_like_doc
 
@@ -114,6 +114,12 @@ class TestReadPbm:
     def test_zero_dimension_rejected(self):
         with pytest.raises(FormatError):
             read_pbm(b"P1\n0 1\n\n")
+
+    def test_dimensions_beyond_int_digit_limit(self):
+        assert read_pbm(b"P1\n" + b"0" * 5000 + b"1 1\n0\n").tolist() == [[0]]
+        assert pbm_header(b"P4\n8 " + b"0" * 5000 + b"1\n\x00") == (8, 1)
+        with pytest.raises(FormatError, match="bad PBM dimensions 1{5000} x 1"):
+            pbm_header(b"P1\n" + b"1" * 5000 + b" 1\n0\n")
 
     def test_plain_raster_larger_than_file_rejected_before_allocation(self):
         # 4e10 pixels declared in 19 bytes; each P1 pixel needs a byte
