@@ -229,43 +229,27 @@ def cmd_evaluate(args) -> int:
     a, b = Path(args.extracted), Path(args.truth)
     if a.is_dir() != b.is_dir():
         raise ValidationError("evaluate needs two files or two directories")
-    if not a.is_dir():
-        result = _evaluate_pair(args.extracted, args.truth, args.mode)
-        if args.json:
-            report = _report_skeleton(args, "evaluate")
-            report.update(
-                {
-                    "extracted": args.extracted,
-                    "truth": args.truth,
-                    "mode": result.mode,
-                    "percentage": result.percentage,
-                }
-            )
-            _emit_json(report)
-        else:
-            sys.stdout.write(f"{result.percentage:.4f}\n")
-        return 0
-
-    names = sorted(p.name for p in a.iterdir() if p.is_file())
-    missing = [n for n in names if not (b / n).is_file()]
-    if missing:
-        raise ValidationError(f"missing ground truth for: {', '.join(missing)}")
-    results = [_evaluate_pair(str(a / n), str(b / n), args.mode) for n in names]
+    single = not a.is_dir()
+    if single:
+        pairs = [(None, args.extracted, args.truth)]
+    else:
+        names = sorted(p.name for p in a.iterdir() if p.is_file())
+        missing = [n for n in names if not (b / n).is_file()]
+        if missing:
+            raise ValidationError(f"missing ground truth for: {', '.join(missing)}")
+        pairs = [(n, str(a / n), str(b / n)) for n in names]
+    scores = [(n, _evaluate_pair(x, t, args.mode).percentage) for n, x, t in pairs]
     if args.json:
         report = _report_skeleton(args, "evaluate")
-        report.update(
-            {
-                "mode": args.mode,
-                "results": [
-                    {"name": n, "percentage": r.percentage}
-                    for n, r in zip(names, results)
-                ],
-            }
-        )
+        report["mode"] = args.mode
+        if single:
+            report.update(extracted=args.extracted, truth=args.truth, percentage=scores[0][1])
+        else:
+            report["results"] = [{"name": n, "percentage": p} for n, p in scores]
         _emit_json(report)
     else:
-        for n, r in zip(names, results):
-            sys.stdout.write(f"{n}: {r.percentage:.4f}\n")
+        for n, p in scores:
+            sys.stdout.write(f"{p:.4f}\n" if single else f"{n}: {p:.4f}\n")
     return 0
 
 

@@ -12,7 +12,8 @@ per row (start run index, start residue, end run index, end residue), and
 the block is cut out by one gather of the runs from the start run to the
 end run of every row, plus fixes to the two edge runs. No pixel buffer is
 ever materialized; a row's searches probe about twice the base-2 logarithm
-of its run count.
+of its run count. The row locators `locate_start` and `locate_end` run the
+same search on a one-row document.
 
 Residue semantics: `start_residue` counts the pixels of the start run that
 lie inside the block (from y1 to the run's end); `end_residue` counts the
@@ -22,11 +23,12 @@ pixels of the end run that lie beyond y2 and must be dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import CompressedDoc, RunRow
+from .core import CompressedDoc, RunRow, _one_row
 from .errors import ConsistencyError, ValidationError
 
 
@@ -170,18 +172,19 @@ def _cut(runs, starts, p1, r1, p2, r2) -> tuple[np.ndarray, np.ndarray]:
 
 def _records(starts, p1, r1, p2, r2) -> list[BoundaryRecord]:
     columns = (p1 - starts + 1, r1, p2 - starts + 1, r2)
-    return list(map(BoundaryRecord, *(c.tolist() for c in columns)))
+    # tuple.__new__ skips the namedtuple's Python-level __new__
+    return list(map(tuple.__new__, repeat(BoundaryRecord), zip(*(c.tolist() for c in columns))))
 
 
-def _locate(row: Sequence[int], column: int, which: str) -> tuple[int, int]:
+def _locate(row: Sequence[int], column: int, which: str) -> BoundaryRecord:
+    """The boundary record of a one-row block that starts and ends at
+    `column`, from the same search as extraction's."""
     if column < 1:
         raise ValidationError(f"{which} column must be >= 1, got {column}")
-    ends = np.add.accumulate(np.asarray(row, dtype=np.int64))
-    width = int(ends[-1]) if ends.size else 0
-    if column > width:
-        raise ValidationError(f"{which} column {column} is beyond the row width {width}")
-    p = int(ends.searchsorted(column))
-    return p + 1, int(ends[p]) - column + 1
+    doc = _one_row(row)
+    if column > doc.width:
+        raise ValidationError(f"{which} column {column} is beyond the row width {doc.width}")
+    return _records(*_bounds(doc, 0, 1, column, column)[0])[0]
 
 
 def locate_start(row: Sequence[int], y1: int) -> tuple[int, int]:
@@ -190,7 +193,7 @@ def locate_start(row: Sequence[int], y1: int) -> tuple[int, int]:
     Returns (run index, residue), where the residue is the number of pixels
     of that run from y1 through the run's end.
     """
-    return _locate(row, y1, "start")
+    return _locate(row, y1, "start")[:2]
 
 
 def locate_end(row: Sequence[int], y2: int) -> tuple[int, int]:
@@ -199,8 +202,7 @@ def locate_end(row: Sequence[int], y2: int) -> tuple[int, int]:
     Returns (run index, residue), where the residue is the number of pixels
     of that run lying beyond y2 (0 when the run ends exactly at y2).
     """
-    p, r = _locate(row, y2, "end")
-    return p, r - 1
+    return _locate(row, y2, "end")[2:]
 
 
 def build_position_table(doc: CompressedDoc, spec: BlockSpec) -> list[BoundaryRecord]:

@@ -35,10 +35,12 @@ def _dimensions(fields: list[bytes], kind: str) -> tuple[int, int]:
 
     Zero padding is allowed: the fields are read as str(int(field)) without
     int()'s limit on the length of a field, which a long one would raise as
-    a ValueError."""
+    a ValueError. A bad field is echoed in full up to 20 digits, and beyond
+    that by its first 10 digits and its length."""
     numbers = [f.lstrip(b"0").decode() or "0" for f in fields]
     if any(len(n) > len(str(MAX_DIM)) or not 1 <= int(n) <= MAX_DIM for n in numbers):
-        raise FormatError(f"bad {kind} dimensions {numbers[0]} x {numbers[1]}")
+        w, h = (n if len(n) <= 20 else f"{n[:10]}... ({len(n)} digits)" for n in numbers)
+        raise FormatError(f"bad {kind} dimensions {w} x {h}")
     return int(numbers[0]), int(numbers[1])
 
 

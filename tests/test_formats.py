@@ -118,8 +118,9 @@ class TestReadPbm:
     def test_dimensions_beyond_int_digit_limit(self):
         assert read_pbm(b"P1\n" + b"0" * 5000 + b"1 1\n0\n").tolist() == [[0]]
         assert pbm_header(b"P4\n8 " + b"0" * 5000 + b"1\n\x00") == (8, 1)
-        with pytest.raises(FormatError, match="bad PBM dimensions 1{5000} x 1"):
+        with pytest.raises(FormatError, match=r"^bad PBM dimensions 1{10}\.\.\. \(5000 digits\) x 1$") as exc:
             pbm_header(b"P1\n" + b"1" * 5000 + b" 1\n0\n")
+        assert len(str(exc.value)) < 200
 
     def test_plain_raster_larger_than_file_rejected_before_allocation(self):
         # 4e10 pixels declared in 19 bytes; each P1 pixel needs a byte
@@ -207,8 +208,9 @@ class TestRle:
 
     def test_dimensions_beyond_int_digit_limit(self):
         assert rle_header(b"RLC1\n" + b"0" * 5000 + b"8 1\n") == (8, 1)
-        with pytest.raises(FormatError, match="bad RLC1 dimensions 9{5000} x 1"):
+        with pytest.raises(FormatError, match=r"^bad RLC1 dimensions 9{10}\.\.\. \(5000 digits\) x 1$") as exc:
             rle_header(b"RLC1\n" + b"9" * 5000 + b" 1\n")
+        assert len(str(exc.value)) < 200
 
     def test_zero_padded_run_beyond_int_digit_limit(self):
         doc = read_rle(b"RLC1\n8 1\n" + b"0" * 5000 + b"8\n")
