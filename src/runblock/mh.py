@@ -38,15 +38,16 @@ at most three), so one array scan of the windows finds every end-of-line
 code, and so every row start, before a bit is decoded. Each numpy
 iteration then takes one entry for every open row, the one the serial loop
 would take, and so records what the serial loop records. The rows still
-open once fewer than `LOCKSTEP_ROWS` remain, and the last row, which alone
-can read up to the end of the stream, restart on the serial loop from
-their end-of-line codes. Array checks then confirm what the serial loop
-checks: exactly `height` end-of-line codes, each row ending at exactly its
-width outside a run, only zero fill before each end-of-line code, and the
-rule on trailing data. If any check fails, the serial loop decodes the
-whole stream and gives the diagnosis, so lock step has no error of its
-own. Streams without end-of-line codes stay on the serial loop: a row's
-start is known only once the row above it is decoded.
+open once fewer than `LOCKSTEP_ROWS` remain restart on the serial loop
+from their end-of-line codes, and one stable sort by row puts every record
+in place. Array checks then confirm what the serial loop checks: exactly
+`height` end-of-line codes, each row ending at exactly its width outside a
+run, only zero fill before each end-of-line code, and the rule on trailing
+data, which the last row fails if it read past the end of the stream. If
+any check fails, the serial loop decodes the whole stream and gives the
+diagnosis, so lock step has no error of its own. Streams without
+end-of-line codes stay on the serial loop: a row's start is known only
+once the row above it is decoded.
 
 At the image level bits are packed into bytes MSB-first with two framing
 options:
@@ -462,10 +463,10 @@ def _decode_lockstep(win, nbits: int, width: int, height: int):
     whole stream and gives the diagnosis. Every row follows an end-of-line
     code, which no codeword sequence holds (no two consecutive codewords
     hold 11 zeros in a row), so one scan finds where every row starts, and
-    a row other than the last cannot read past the next end-of-line code:
-    for it, neither a whole-code step nor a codeword read reaches the end of
-    the stream. The last row is decoded serially, and the rows are checked
-    to fill the stream as the serial loop reads it.
+    a row other than the last cannot read past the next end-of-line code.
+    The last row can read past the end of the stream, where the serial loop
+    stops, but then it ends past it too; the rows are checked to fill the
+    stream as the serial loop reads it.
     """
     bits = np.frombuffer(win, dtype=np.uint16)
     # in slices, so that the scan's scratch stays small next to the windows
@@ -478,20 +479,17 @@ def _decode_lockstep(win, nbits: int, width: int, height: int):
     table = _tables()[0]
     step_half, code_half = table[:_CODE], table[_CODE:]
     row_end = np.empty(height, dtype=np.int64)
-    # the number of records of each row: one per iteration it took part in
-    present = np.zeros(height, dtype=np.int64)
     # The rows' bit positions and pixels left, in one array so that dropping
     # rows takes one call. A row whose pixels are all read stays, reading
     # nothing, until a quarter of the rows are read.
-    cursors = np.zeros((2, height - 1), dtype=np.int64)
-    cursors[0] = starts[:-1]
+    cursors = np.zeros((2, height), dtype=np.int64)
+    cursors[0] = starts
     cursors[1] = width
     pos, left = cursors
-    state = np.zeros(height - 1, dtype=np.int32)
-    rid = np.arange(height - 1)
-    # (row numbers, records of each iteration) between two drops
-    epochs = [(rid, [])]
-    iterations = 0
+    state = np.zeros(height, dtype=np.int32)
+    rid = np.arange(height, dtype=np.int32)
+    # the row numbers and the records of each iteration
+    rows, keys = [], []
     try:
         while True:
             is_open = left > 0
@@ -502,12 +500,10 @@ def _decode_lockstep(win, nbits: int, width: int, height: int):
                 if (left[read] < (state[read] & _INSIDE)).any():
                     return None
                 row_end[rid[read]] = pos[read]
-                present[rid[read]] = iterations
                 cursors, state, rid = cursors[:, is_open], state[is_open], rid[is_open]
                 pos, left = cursors
                 if n_open < LOCKSTEP_ROWS:
                     break
-                epochs.append((rid, []))
                 is_open = True
             key = bits.take(pos) | state
             # A read row takes key 0. No codeword starts with 13 zeros, so it
@@ -520,21 +516,22 @@ def _decode_lockstep(win, nbits: int, width: int, height: int):
             left -= entry & _PIXELS
             state ^= entry & (_BLACK | _INSIDE | _STUCK)
             key |= entry & _CODE
-            epochs[-1][1].append(key)
-            iterations += 1
-    except IndexError:  # a row is stuck, where the serial loop raises
+            rows.append(rid)
+            keys.append(key)
+    except IndexError:  # a row is stuck, or read past the stream's windows
         return None
-    # the rows still open, and the last row, start over on the serial loop
-    tail = [*rid.tolist(), height - 1]
-    serial = []
-    for r in tail:
+    # The rows still open start over on the serial loop. Each took part in
+    # every iteration and took there what the serial loop takes, so lock
+    # step holds the first `iterations` of its records.
+    iterations = len(keys)
+    for r in rid.tolist():
         records = array("H")
         try:
             row_end[r] = _decode_row_at(win, nbits, width, int(starts[r]), records)
         except FormatError:
             return None
-        serial.append(np.frombuffer(records, dtype=np.uint16))
-        present[r] = len(records)
+        keys.append(np.frombuffer(records, dtype=np.uint16)[iterations:])
+        rows.append(np.full(len(keys[-1]), r, dtype=np.int32))
     # only zero fill before each end-of-line code, checked 13 bits at a time
     fill = np.concatenate(([0], row_end[:-1]))
     gap = eols - fill
@@ -546,25 +543,15 @@ def _decode_lockstep(win, nbits: int, width: int, height: int):
         fill, gap = fill + _PEEK, gap - _PEEK
         fill, gap = fill[gap > 0], gap[gap > 0]
     last = int(row_end[-1])
-    if nbits - last >= 8 or win[last]:
+    if not 0 <= nbits - last < 8 or win[last]:
         return None
-    # Each row's records in order: the t-th iteration's in the row's slot t.
-    # The tail rows' lock-step records go to spare slots past the end.
-    ends = np.concatenate(([0], np.cumsum(present)))
-    slots = ends[:-1].copy()
-    slots[tail] = ends[-1]
-    records = np.empty(ends[-1] + iterations, dtype=np.uint16)
-    t = 0
-    while epochs:  # emptied as it goes, so that placed records are freed
-        rid, steps = epochs.pop(0)
-        at = slots.take(rid)
-        for step_records in steps:
-            records[at + t] = step_records
-            t += 1
-    for r, row in zip(tail, serial):
-        records[ends[r] : ends[r + 1]] = row
-    decoded = records[: ends[-1]] != _CODE
-    return records[: ends[-1]][decoded], np.concatenate(([0], np.cumsum(decoded)))[ends]
+    # a record fits in 16 bits: a stuck row's key raises before it is logged
+    rows, keys = np.concatenate(rows), np.concatenate(keys, dtype=np.uint16, casting="unsafe")
+    keep = keys != _CODE
+    rows = rows[keep]
+    # each row's records in the order they were taken
+    records = keys[keep][np.argsort(rows, kind="stable")]
+    return records, np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=height))))
 
 
 def mh_decode_image(

@@ -130,22 +130,22 @@ def pixel_features(grid, ctx: FeatureContext) -> FeatureReport:
 
     base = ctx.log_base
     density = float(arr.sum()) / area
+    # every pair of horizontally adjacent pixels at once; the terms are
+    # still summed one at a time, row by row
+    changed = arr[:, 1:] != arr[:, :-1]
     ceq_total = 0.0
-    seq_total = 0.0
-    for i in range(height):
-        row = arr[i]
-        changed = row[1:] != row[:-1]
-        t = int(np.count_nonzero(changed))
+    for t in changed.sum(axis=1).tolist():
         p = t / ceq_normalizer
         if 0.0 < p < 1.0:
             ceq_total += p * _log(1.0 / p, base) + (1.0 - p) * _log(1.0 / (1.0 - p), base)
+    seq_total = 0.0
+    for i, col0 in zip(*(index.tolist() for index in np.nonzero(changed))):
         r = row_offset + i + 1
-        for col0 in np.flatnonzero(changed):
-            pos = col_offset + int(col0) + 1  # column of the pixel before the change
-            seq_total += (r / m) * (
-                (pos / n) * _log(n / pos, base)
-                + (m - pos / n) * _log(m / (m + n - pos), base)
-            )
+        pos = col_offset + col0 + 1  # column of the pixel before the change
+        seq_total += (r / m) * (
+            (pos / n) * _log(n / pos, base)
+            + (m - pos / n) * _log(m / (m + n - pos), base)
+        )
     return FeatureReport(density=density, ceq=ceq_total, seq=seq_total, context=ctx)
 
 

@@ -1,10 +1,12 @@
-"""Synthetic document generators shared across the test suite."""
+"""Synthetic document generators shared across the test suite, and the
+row-by-row pixel oracle that `oracle.pixel_features` must match exactly."""
 
 import math
 
 import numpy as np
 
-from runblock import BlockSpec, CompressedDoc, encode_image
+from runblock import BlockSpec, CompressedDoc, FeatureReport, ValidationError, encode_image
+from runblock.oracle import _log
 
 
 def random_grid(rng: np.random.Generator, height: int, width: int, density: float = 0.5):
@@ -78,3 +80,48 @@ def letter_like_doc(rng: np.random.Generator, height: int, width: int = 1728) ->
             runs.append(right)
         rows.append(tuple(runs))
     return CompressedDoc(width=width, height=height, rows=tuple(rows))
+
+
+def reference_pixel_features(grid, ctx) -> FeatureReport:
+    """`oracle.pixel_features` as it was written: one row at a time, with
+    its own comparisons, count and `np.flatnonzero` per row. The oracle
+    must give the same floats, bit for bit."""
+    arr = np.asarray(grid)
+    if arr.ndim != 2:
+        raise ValidationError("pixel grid must be 2-D")
+    if (arr.shape[0], arr.shape[1]) != ctx.block_dims:
+        raise ValidationError(
+            f"context is for a {ctx.block_dims} block, got {arr.shape}"
+        )
+    height, width = arr.shape
+    if ctx.mode == "absolute":
+        area = height * width
+        ceq_normalizer = width
+        m, n = height, width
+        row_offset = col_offset = 0
+    else:
+        area = ctx.doc_dims[0] * ctx.doc_dims[1]
+        ceq_normalizer = ctx.doc_dims[1]
+        m, n = ctx.doc_dims
+        row_offset = ctx.block_origin[0] - 1
+        col_offset = ctx.block_origin[1] - 1
+
+    base = ctx.log_base
+    density = float(arr.sum()) / area
+    ceq_total = 0.0
+    seq_total = 0.0
+    for i in range(height):
+        row = arr[i]
+        changed = row[1:] != row[:-1]
+        t = int(np.count_nonzero(changed))
+        p = t / ceq_normalizer
+        if 0.0 < p < 1.0:
+            ceq_total += p * _log(1.0 / p, base) + (1.0 - p) * _log(1.0 / (1.0 - p), base)
+        r = row_offset + i + 1
+        for col0 in np.flatnonzero(changed):
+            pos = col_offset + int(col0) + 1  # column of the pixel before the change
+            seq_total += (r / m) * (
+                (pos / n) * _log(n / pos, base)
+                + (m - pos / n) * _log(m / (m + n - pos), base)
+            )
+    return FeatureReport(density=density, ceq=ceq_total, seq=seq_total, context=ctx)

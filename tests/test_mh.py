@@ -190,10 +190,9 @@ def outcome(decoder, data: bytes, width: int, height: int, eol: bool, byte_align
 
 def decoder_outcomes(data: bytes, width: int, height: int, eol: bool, byte_align: bool) -> list:
     """The decoder's outcome as it is and, in the EOL framings, with lock
-    step down to one open row, so that it decodes every row but the last,
-    and to two, so that it also hands its last open row to the serial
-    decoder. Lock step must fall back to the serial loop exactly when the
-    stream is invalid."""
+    step down to one open row, so that it decodes every row, and to two,
+    so that it hands its last open row to the serial decoder. Lock step
+    must fall back to the serial loop exactly when the stream is invalid."""
     results = [outcome(mh_decode_image, data, width, height, eol, byte_align)]
     for rows in (1, 2) if eol else ():
         fallbacks = []
@@ -623,6 +622,10 @@ class TestDecodeMatchesReference:
             # are white 29, the whole row
             (EOL + "00" + WHITE_TERMINATING[29] + EOL + WHITE_TERMINATING[29], 29,
              "row 1: invalid white codeword at bit 12"),
+            # the last row's final codeword, black 1 (010), runs past the
+            # data, whose windows read the missing bit as a zero
+            ("000" + EOL + WHITE_TERMINATING[4] + BLACK_TERMINATING[1] + EOL + WHITE_TERMINATING[4]
+             + BLACK_TERMINATING[1][:2], 5, "row 2: bit stream ended inside a black run at bit 38"),
         ],
     )
     def test_invalid_eol_rows_give_the_serial_diagnosis(self, bits, width, message):
@@ -789,3 +792,24 @@ def test_lockstep_records_match_serial_on_letter_page(letter_doc, byte_align):
 def test_lockstep_records_match_serial_on_foreign_streams(stream):
     data, width, height, _, byte_align = stream
     assert_lockstep_records_are_serial(data, width, height, byte_align)
+
+
+def skewed_page(dense: int) -> CompressedDoc:
+    """A page in fax geometry whose rows are blank but for `dense` rows of
+    alternating one-pixel runs, spread from the first row to the last."""
+    height, width = 1143, 1728
+    rows = [(width,)] * height
+    for r in np.linspace(0, height - 1, dense).astype(int).tolist():
+        rows[r] = (1,) * width
+    return CompressedDoc.from_rows(rows)
+
+
+@pytest.mark.parametrize("dense", [1, mh.LOCKSTEP_ROWS, 32])
+def test_lockstep_on_skewed_pages(dense):
+    # a few dense rows outlast the blank ones: lock step goes on while
+    # `LOCKSTEP_ROWS` of them are open, and hands the rest to the serial loop
+    doc = skewed_page(dense)
+    data = mh_encode_image(doc, eol=True, byte_align=True)
+    assert_lockstep_records_are_serial(data, doc.width, doc.height, True)
+    assert decoder_outcomes(data, doc.width, doc.height, True, True) == [doc] * 3
+    assert ref_decode_image(data, doc.width, doc.height, eol=True, byte_align=True) == doc

@@ -1,3 +1,5 @@
+import itertools
+import math
 from itertools import zip_longest
 
 import numpy as np
@@ -21,7 +23,15 @@ from runblock import (
     pixel_features,
 )
 
-from helpers import random_doc, random_grid, random_spec, text_like_doc
+from helpers import (
+    log_uniform_dim,
+    random_doc,
+    random_grid,
+    random_pixel_doc,
+    random_spec,
+    reference_pixel_features,
+    text_like_doc,
+)
 
 
 class TestOracleCrop:
@@ -210,6 +220,37 @@ class TestPixelFeatures:
         ctx = FeatureContext(mode="absolute", block_dims=(2, 2))
         with pytest.raises(ValidationError):
             pixel_features(np.zeros((3, 3)), ctx)
+
+    def test_equals_the_row_by_row_oracle_on_criterion_5_grids(self):
+        def grids():
+            # the blocks of criterion 5's generators, and grids of up to 4x4
+            # in its small-grid layout: all of up to nine pixels, 64 of each
+            # larger shape
+            rng = np.random.default_rng(0x5C)
+            for _ in range(100):
+                height, width = log_uniform_dim(rng, 8, 96), log_uniform_dim(rng, 8, 96)
+                if rng.random() < 0.3:
+                    doc = random_pixel_doc(rng, height, width)
+                else:
+                    doc = text_like_doc(rng, height, width)
+                spec = random_spec(rng, doc)
+                yield decode_image(extract_block(doc, spec)), (doc.height, doc.width), (spec.x1, spec.y1)
+            for height, width in itertools.product(range(1, 5), repeat=2):
+                if height * width <= 9:
+                    patterns = itertools.product((0, 1), repeat=height * width)
+                else:
+                    patterns = rng.integers(0, 2, (64, height * width))
+                for bits in patterns:
+                    yield np.array(bits, dtype=np.uint8).reshape(height, width), (height + 3, width + 2), (3, 2)
+
+        for grid, doc_dims, origin in grids():
+            for base in (2.0, math.e, 10.0):
+                for ctx in (
+                    FeatureContext(mode="absolute", block_dims=grid.shape, log_base=base),
+                    FeatureContext(mode="relative", block_dims=grid.shape, doc_dims=doc_dims,
+                                   block_origin=origin, log_base=base),
+                ):
+                    assert pixel_features(grid, ctx) == reference_pixel_features(grid, ctx)
 
 
 def test_baseline_cell_ops():
