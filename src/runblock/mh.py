@@ -37,17 +37,18 @@ eleven zeros in a row (a codeword starts with at most seven and ends with
 at most three), so one array scan of the windows finds every end-of-line
 code, and so every row start, before a bit is decoded. Each numpy
 iteration then takes one entry for every open row, the one the serial loop
-would take, and so records what the serial loop records. The rows still
-open once fewer than `LOCKSTEP_ROWS` remain restart on the serial loop
-from their end-of-line codes, and one stable sort by row puts every record
-in place. Array checks then confirm what the serial loop checks: exactly
-`height` end-of-line codes, each row ending at exactly its width outside a
-run, only zero fill before each end-of-line code, and the rule on trailing
-data, which the last row fails if it read past the end of the stream. If
-any check fails, the serial loop decodes the whole stream and gives the
-diagnosis, so lock step has no error of its own. Streams without
-end-of-line codes stay on the serial loop: a row's start is known only
-once the row above it is decoded.
+would take, and so records what the serial loop records. Once fewer than
+`LOCKSTEP_ROWS` rows are open and none of them is inside a run, each goes
+on in the serial loop from its bit position, pixels read and color, and
+one stable sort by row puts every record in place. Array checks then
+confirm what the serial loop checks: exactly `height` end-of-line codes,
+each row ending at exactly its width outside a run, only zero fill before
+each end-of-line code, and the rule on trailing data, which the last row
+fails if it read past the end of the stream. If any check fails, or a row
+is stuck or past the stream when lock step hands it on, the serial loop
+decodes the whole stream and gives the diagnosis, so lock step has no
+error of its own. Streams without end-of-line codes stay on the serial
+loop: a row's start is known only once the row above it is decoded.
 
 At the image level bits are packed into bytes MSB-first with two framing
 options:
@@ -318,14 +319,14 @@ def _tables() -> tuple[np.ndarray, memoryview, np.ndarray, list[int]]:
     return table, memoryview(table), slot_runs, steps
 
 
-def _decode_row_at(win, nbits: int, width: int, pos: int, records: array) -> int:
-    """Decode one row at `pos`, appending its records to `records`.
+def _decode_row_at(win, nbits: int, width: int, pos: int, records: array, total: int = 0, color: int = 0) -> int:
+    """Decode one row at `pos`, appending its records to `records`. A row
+    that lock step has begun goes on from its pixels read, `total`, and its
+    color, `color` (0 or _BLACK), outside a run.
 
     Returns the new position."""
     _, entries, _, steps = _tables()
     append = records.append
-    total = 0
-    color = 0
     while total < width:
         key = color | win[pos]
         step = steps[key]
@@ -403,6 +404,8 @@ def mh_encode_row(row: Sequence[int]) -> str:
 
 def mh_decode_row(bits: str, width: int) -> RunRow:
     """Decode a single row's codewords; all bits must be consumed."""
+    if width < 1:
+        raise ValidationError(f"bad width {width}")
     records = array("H")
     pos = _decode_row_at(_bit_string_windows(bits), len(bits), width, 0, records)
     if pos != len(bits):
@@ -442,13 +445,15 @@ def _expect_eol(win, nbits: int, pos: int, row_number: int) -> int:
 
 
 # Lock step decodes the rows of an EOL-framed stream side by side while at
-# least this many are open, and restarts the rest on `_decode_row_at`; a
-# stream of fewer rows goes to the serial loop alone. An iteration of lock
-# step makes a fixed number of numpy calls for all its rows, where a serial
-# step is one Python iteration, so the serial loop stays faster on streams
-# of up to about a hundred rows; 8 is the largest value at the optimum of a
-# full fax page.
-LOCKSTEP_ROWS = 8
+# least this many are open, and hands the rest to `_decode_row_at` where
+# they stand; a stream of fewer rows goes to the serial loop alone. An
+# iteration of lock step makes a fixed number of numpy calls for all its
+# rows, where a serial step is one Python iteration, so this is the
+# break-even of the two loops on pages whose rows all end at the same step:
+# of the uniform pages of `tools/mh_skew.py`, 16 rows decode faster
+# serially and 60 in lock step, and pages of that kind break even at 52 to
+# 56 rows.
+LOCKSTEP_ROWS = 56
 
 # windows per slice of the end-of-line scan
 _SCAN = 1 << 16
@@ -475,34 +480,32 @@ def _decode_lockstep(win, nbits: int, width: int, height: int):
     )
     if len(eols) != height:
         return None
-    starts = eols + len(EOL)
     table = _tables()[0]
     step_half, code_half = table[:_CODE], table[_CODE:]
     row_end = np.empty(height, dtype=np.int64)
-    # The rows' bit positions and pixels left, in one array so that dropping
-    # rows takes one call. A row whose pixels are all read stays, reading
-    # nothing, until a quarter of the rows are read.
-    cursors = np.zeros((2, height), dtype=np.int64)
-    cursors[0] = starts
-    cursors[1] = width
-    pos, left = cursors
+    # Each row's bit position, pixels left, state and number. A row whose
+    # pixels are all read stays, reading nothing, until a quarter of the
+    # rows are read.
+    pos = eols + len(EOL)
+    left = np.full(height, width, dtype=np.int64)
     state = np.zeros(height, dtype=np.int32)
     rid = np.arange(height, dtype=np.int32)
-    # the row numbers and the records of each iteration
+    # the row numbers and the records of each iteration, then those of the
+    # rows handed on
     rows, keys = [], []
     try:
         while True:
             is_open = left > 0
             n_open = np.count_nonzero(is_open)
-            if n_open < LOCKSTEP_ROWS or 4 * n_open <= 3 * len(rid):
+            tail = n_open < LOCKSTEP_ROWS
+            if tail or 4 * n_open <= 3 * len(rid):
                 read = ~is_open
                 # runs that overrun the width, or a make-up code past it
                 if (left[read] < (state[read] & _INSIDE)).any():
                     return None
                 row_end[rid[read]] = pos[read]
-                cursors, state, rid = cursors[:, is_open], state[is_open], rid[is_open]
-                pos, left = cursors
-                if n_open < LOCKSTEP_ROWS:
+                pos, left, state, rid = pos[is_open], left[is_open], state[is_open], rid[is_open]
+                if tail and not (state & _INSIDE).any():
                     break
                 is_open = True
             key = bits.take(pos) | state
@@ -518,20 +521,17 @@ def _decode_lockstep(win, nbits: int, width: int, height: int):
             key |= entry & _CODE
             rows.append(rid)
             keys.append(key)
-    except IndexError:  # a row is stuck, or read past the stream's windows
-        return None
-    # The rows still open start over on the serial loop. Each took part in
-    # every iteration and took there what the serial loop takes, so lock
-    # step holds the first `iterations` of its records.
-    iterations = len(keys)
-    for r in rid.tolist():
+        # The rows still open, none inside a run, go on in the serial loop
+        # from where they stand. A stuck row raises there, and so does a row
+        # that has read past the stream's windows.
         records = array("H")
-        try:
-            row_end[r] = _decode_row_at(win, nbits, width, int(starts[r]), records)
-        except FormatError:
-            return None
-        keys.append(np.frombuffer(records, dtype=np.uint16)[iterations:])
-        rows.append(np.full(len(keys[-1]), r, dtype=np.int32))
+        for r, at, rest, s in zip(rid.tolist(), pos.tolist(), left.tolist(), state.tolist()):
+            taken = len(records)
+            row_end[r] = _decode_row_at(win, nbits, width, at, records, width - rest, s & _BLACK)
+            rows.append(np.full(len(records) - taken, r, dtype=np.int32))
+        keys.append(np.frombuffer(records, dtype=np.uint16))
+    except (IndexError, FormatError):  # a row is stuck, or read past the stream
+        return None
     # only zero fill before each end-of-line code, checked 13 bits at a time
     fill = np.concatenate(([0], row_end[:-1]))
     gap = eols - fill

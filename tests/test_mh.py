@@ -1,3 +1,5 @@
+import importlib.util
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -38,6 +40,18 @@ from helpers import letter_like_doc, random_grid, text_like_doc, text_like_row
 
 FRAMINGS = [(True, True), (True, False), (False, True), (False, False)]
 FRAMING_IDS = ["eol-aligned", "eol", "bare-aligned", "bare"]
+
+
+def load_mh_skew():
+    """`tools/mh_skew.py`, whose pages time lock step against the serial loop."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "mh_skew.py"
+    spec = importlib.util.spec_from_file_location("mh_skew", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+mh_skew = load_mh_skew()
 
 
 # The codec as it was written on '0'/'1' strings: one dict probe per prefix
@@ -191,7 +205,7 @@ def outcome(decoder, data: bytes, width: int, height: int, eol: bool, byte_align
 def decoder_outcomes(data: bytes, width: int, height: int, eol: bool, byte_align: bool) -> list:
     """The decoder's outcome as it is and, in the EOL framings, with lock
     step down to one open row, so that it decodes every row, and to two,
-    so that it hands its last open row to the serial decoder. Lock step
+    so that it hands its last open row on to the serial loop. Lock step
     must fall back to the serial loop exactly when the stream is invalid."""
     results = [outcome(mh_decode_image, data, width, height, eol, byte_align)]
     for rows in (1, 2) if eol else ():
@@ -282,6 +296,11 @@ class TestRowCodec:
         bits = mh_encode_row((4,)) + "0000000"
         with pytest.raises(FormatError, match="unconsumed"):
             mh_decode_row(bits, 4)
+
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_width_below_one_rejected(self, width):
+        with pytest.raises(ValidationError, match=f"bad width {width}"):
+            mh_decode_row("", width)
 
     def test_row_overrun(self):
         bits = mh_encode_row((5, 3))
@@ -622,6 +641,14 @@ class TestDecodeMatchesReference:
             # are white 29, the whole row
             (EOL + "00" + WHITE_TERMINATING[29] + EOL + WHITE_TERMINATING[29], 29,
              "row 1: invalid white codeword at bit 12"),
+            # the same in row 2, which is stuck when row 1 ends and lock step
+            # hands it on
+            (EOL + WHITE_TERMINATING[29] + EOL + "00" + WHITE_TERMINATING[29], 29,
+             "row 2: invalid white codeword at bit 32"),
+            # row 2 reads white 2 and black 1 (010) in one step, past the
+            # data, and is still open when row 1 ends and lock step hands it on
+            ("0" * 6 + EOL + WHITE_TERMINATING[5] + EOL + WHITE_TERMINATING[2] + BLACK_TERMINATING[1][:2],
+             5, "row 2: bit stream ended inside a black run at bit 38"),
             # the last row's final codeword, black 1 (010), runs past the
             # data, whose windows read the missing bit as a zero
             ("000" + EOL + WHITE_TERMINATING[4] + BLACK_TERMINATING[1] + EOL + WHITE_TERMINATING[4]
@@ -794,22 +821,64 @@ def test_lockstep_records_match_serial_on_foreign_streams(stream):
     assert_lockstep_records_are_serial(data, width, height, byte_align)
 
 
-def skewed_page(dense: int) -> CompressedDoc:
-    """A page in fax geometry whose rows are blank but for `dense` rows of
-    alternating one-pixel runs, spread from the first row to the last."""
-    height, width = 1143, 1728
-    rows = [(width,)] * height
-    for r in np.linspace(0, height - 1, dense).astype(int).tolist():
-        rows[r] = (1,) * width
-    return CompressedDoc.from_rows(rows)
+def test_lockstep_takes_no_record_twice(letter_doc):
+    # Lock step, with as many open rows as shipped and down to two, takes
+    # each record of the stream once: itself, or in `_decode_row_at` for a
+    # row that it hands on. The skewed page hands on eight dense rows.
+    handed_on = 0
+    for doc in (letter_doc, mh_skew.skewed_page(8)):
+        data = mh_encode_image(doc, eol=True, byte_align=True)
+        win, nbits, height = mh._windows(data), 8 * len(data), doc.height
+        records, row_ends = mh._decode_serial(win, nbits, doc.width, height, True, True)
+        serial = [records[a:b].tolist() for a, b in zip(row_ends, row_ends[1:])]
+        for rows in (2, mh.LOCKSTEP_ROWS):
+            calls = []
+
+            def spy(*args, decode_row_at=mh._decode_row_at):
+                appended = args[4]
+                taken = len(appended)
+                end = decode_row_at(*args)
+                calls.append((end, appended[taken:].tolist()))
+                return end
+
+            with patch.object(mh, "LOCKSTEP_ROWS", rows), patch.object(mh, "_decode_row_at", spy):
+                assert mh._decode_lockstep(win, nbits, doc.width, height) is not None
+            handed_on += len(calls)
+            # again, with a `_decode_row_at` that appends nothing, so that
+            # lock step returns only the records it took itself
+            ends = iter(calls)
+            with patch.object(mh, "LOCKSTEP_ROWS", rows), patch.object(mh, "_decode_row_at", lambda *a: next(ends)[0]):
+                own, own_ends = mh._decode_lockstep(win, nbits, doc.width, height)
+            taken = [own[a:b].tolist() for a, b in zip(own_ends, own_ends[1:])]
+            resumed = [r for r in range(height) if len(taken[r]) < len(serial[r])]
+            assert len(resumed) == len(calls), rows
+            for r, (_, appended) in zip(resumed, calls):
+                taken[r] += appended
+            assert taken == serial, rows
+    assert handed_on
 
 
-@pytest.mark.parametrize("dense", [1, mh.LOCKSTEP_ROWS, 32])
+def test_lockstep_hands_on_no_row_inside_a_run():
+    # Row 2 has read black's 2560 make-up code when row 1 ends, and with two
+    # rows lock step hands row 2 on only once it has read the terminating code.
+    doc = CompressedDoc.from_rows([(2623,), (0, 2623)])
+    data = mh_encode_image(doc, eol=True)
+    assert_lockstep_records_are_serial(data, doc.width, doc.height, False)
+    assert decoder_outcomes(data, doc.width, doc.height, True, False) == [doc] * 3
+
+
+@pytest.mark.parametrize("dense", sorted({1, 8, 16, 32, mh.LOCKSTEP_ROWS}))
 def test_lockstep_on_skewed_pages(dense):
     # a few dense rows outlast the blank ones: lock step goes on while
     # `LOCKSTEP_ROWS` of them are open, and hands the rest to the serial loop
-    doc = skewed_page(dense)
+    doc = mh_skew.skewed_page(dense)
     data = mh_encode_image(doc, eol=True, byte_align=True)
     assert_lockstep_records_are_serial(data, doc.width, doc.height, True)
     assert decoder_outcomes(data, doc.width, doc.height, True, True) == [doc] * 3
     assert ref_decode_image(data, doc.width, doc.height, eol=True, byte_align=True) == doc
+
+
+def test_mh_skew_pages_decode_to_their_documents():
+    for name, doc in mh_skew.pages():
+        data = mh_encode_image(doc, eol=True, byte_align=True)
+        assert mh_decode_image(data, doc.width, doc.height, eol=True, byte_align=True) == doc, name
