@@ -1,6 +1,8 @@
 """Segmentation and characterization of rectangular blocks in run-length
 compressed binary document images, without decompression."""
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     BACKGROUND,
     FOREGROUND,
@@ -51,53 +53,10 @@ from .oracle import (
 
 __version__ = "0.1.0"
 
+# every public name imported above; the submodules those imports bind are
+# left out
 __all__ = [
-    "BACKGROUND",
-    "FOREGROUND",
-    "AccuracyResult",
-    "BlockSpec",
-    "BoundaryRecord",
-    "Characterization",
-    "CompressedDoc",
-    "ConsistencyError",
-    "ExtractionStats",
-    "FeatureContext",
-    "FeatureReport",
-    "FormatError",
-    "RunBlockError",
-    "RunRow",
-    "ValidationError",
-    "accuracy_compressed",
-    "accuracy_pixel",
-    "baseline_cell_ops",
-    "build_position_table",
-    "canonicalize_row",
-    "ceq",
-    "characterize",
-    "decode_image",
-    "decode_row",
-    "density",
-    "encode_image",
-    "encode_row",
-    "extract_block",
-    "extract_block_detailed",
-    "foreground_pixels",
-    "foreground_total",
-    "is_canonical",
-    "locate_end",
-    "locate_start",
-    "mh_decode_image",
-    "mh_decode_row",
-    "mh_encode_image",
-    "mh_encode_row",
-    "oracle_crop",
-    "pixel_features",
-    "read_pbm",
-    "read_rle",
-    "seq",
-    "transition_columns",
-    "transitions_in_row",
-    "trim_row",
-    "write_pbm",
-    "write_rle",
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -8,6 +8,11 @@ Exit codes: 0 success, 2 usage or validation error, 3 parse or corruption
 error, 4 internal consistency failure. Diagnostics go to stderr; reports go
 to stdout and serialize deterministically (stable key order, no timestamps
 unless --timing is given).
+
+A command that prints returns its report fields and its text, and `main`
+prints them: the text, or under --json the fields as a JSON report with the
+schema, the command and, under --timing, the wall time. encode and decode
+only write files and return None.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from . import __version__
 from .core import CompressedDoc, decode_image, encode_image
 from .errors import ConsistencyError, FormatError, ValidationError
 from .extract import BlockSpec, extract_block_detailed
-from .features import LOG_BASES, Characterization, characterize, foreground_total
+from .features import LOG_BASES, characterize, foreground_total
 from .formats import (
     RLC_MAGIC,
     pbm_header,
@@ -43,15 +48,16 @@ REPORT_SCHEMA = "runblock-report/1"
 EXIT_CODES = {ValidationError: 2, FormatError: 3, ConsistencyError: 4, OSError: 2}
 
 
-def _read_bytes(path: str) -> bytes:
-    return Path(path).read_bytes()
-
-
-def _sniff(data: bytes) -> str:
+def _read(path: str, fax: bool = False) -> tuple[str, bytes]:
+    """A file's format ("pbm" or "rlc1") and bytes. Bytes of neither format
+    are a parse error, or with `fax` the format "fax"."""
+    data = Path(path).read_bytes()
     if data[:2] in (b"P1", b"P4"):
-        return "pbm"
+        return "pbm", data
     if data[: len(RLC_MAGIC)] == RLC_MAGIC.encode():
-        return "rlc1"
+        return "rlc1", data
+    if fax:
+        return "fax", data
     raise FormatError("unrecognized input format (expected PBM P1/P4 or RLC1)")
 
 
@@ -61,57 +67,33 @@ def _load_doc(path: str, spec: BlockSpec | None = None) -> tuple[str, Compressed
     With `spec`, the block is checked against the header's dimensions before
     the body is parsed.
     """
-    data = _read_bytes(path)
-    kind = _sniff(data)
+    kind, data = _read(path)
     if spec is not None:
         spec.validate_for(*(pbm_header(data) if kind == "pbm" else rle_header(data)))
     return kind, encode_image(read_pbm(data)) if kind == "pbm" else read_rle(data)
 
 
 def _load_grid(path: str):
-    data = _read_bytes(path)
-    if _sniff(data) == "pbm":
-        return read_pbm(data)
-    return decode_image(read_rle(data))
-
-
-def _block_spec(args) -> BlockSpec:
-    return BlockSpec(x1=args.x1, x2=args.x2, y1=args.y1, y2=args.y2)
-
-
-def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _report_skeleton(args, command: str) -> dict:
-    report = {"schema": REPORT_SCHEMA, "command": command}
-    if getattr(args, "timing", False):
-        report["elapsed_seconds"] = round(time.monotonic() - args._t0, 6)
-    return report
+    kind, data = _read(path)
+    return read_pbm(data) if kind == "pbm" else decode_image(read_rle(data))
 
 
 # ---------------------------------------------------------------- commands
 
 
-def cmd_encode(args) -> int:
-    data = _read_bytes(args.input)
-    if _sniff(data) != "pbm":
+def cmd_encode(args) -> None:
+    kind, data = _read(args.input)
+    if kind != "pbm":
         raise ValidationError("encode expects a PBM input")
-    doc = encode_image(read_pbm(data))
-    Path(args.output).write_bytes(write_rle(doc))
-    return 0
+    Path(args.output).write_bytes(write_rle(encode_image(read_pbm(data))))
 
 
-def cmd_decode(args) -> int:
-    data = _read_bytes(args.input)
-    mh_flags = (args.width, args.height, args.eol)
-    if args.byte_align or any(v is not None for v in mh_flags):
-        # explicit fax framing wins over content sniffing
-        missing = [
-            name
-            for name, value in zip(("--width", "--height", "--eol"), mh_flags)
-            if value is None
-        ]
+def cmd_decode(args) -> None:
+    kind, data = _read(args.input, fax=True)
+    mh_flags = {"--width": args.width, "--height": args.height, "--eol": args.eol}
+    # explicit fax framing wins over content sniffing
+    if kind == "fax" or args.byte_align or any(v is not None for v in mh_flags.values()):
+        missing = [name for name, value in mh_flags.items() if value is None]
         if missing:
             raise ValidationError("raw fax input needs " + ", ".join(missing))
         doc = mh_decode_image(
@@ -121,20 +103,15 @@ def cmd_decode(args) -> int:
             eol=(args.eol == "required"),
             byte_align=args.byte_align,
         )
+    elif kind == "pbm":
+        raise ValidationError("decode expects an RLC1 or raw fax input, got PBM")
     else:
-        try:
-            kind = _sniff(data)
-        except FormatError:
-            raise ValidationError("raw fax input needs --width, --height, --eol") from None
-        if kind == "pbm":
-            raise ValidationError("decode expects an RLC1 or raw fax input, got PBM")
         doc = read_rle(data)
     Path(args.output).write_bytes(write_pbm(decode_image(doc), plain=args.plain))
-    return 0
 
 
-def cmd_extract(args) -> int:
-    spec = _block_spec(args)
+def cmd_extract(args) -> tuple[dict, str]:
+    spec = BlockSpec(args.x1, args.x2, args.y1, args.y2)
     _, doc = _load_doc(args.input, spec)
     block, table, stats = extract_block_detailed(doc, spec)
     if args.decode_output:
@@ -147,85 +124,53 @@ def cmd_extract(args) -> int:
             sys.stdout.write(lines)
         else:
             Path(args.trace).write_text(lines)
-    if args.json:
-        report = _report_skeleton(args, "extract")
-        report.update(
-            {
-                "input": args.input,
-                "output": args.output,
-                "block": {"x1": spec.x1, "x2": spec.x2, "y1": spec.y1, "y2": spec.y2},
-                "block_size": {"rows": block.height, "columns": block.width},
-                "counters": {
-                    "rows": stats.rows,
-                    "runs_visited": stats.runs_visited,
-                    "runs_emitted": stats.runs_emitted,
-                },
-            }
-        )
-        _emit_json(report)
-    return 0
-
-
-def _report_fields(report) -> dict:
-    return {
-        "mode": report.context.mode,
-        "density": report.density,
-        "ceq": report.ceq,
-        "seq": report.seq,
+    fields = {
+        "input": args.input,
+        "output": args.output,
+        "block": {"x1": spec.x1, "x2": spec.x2, "y1": spec.y1, "y2": spec.y2},
+        "block_size": {"rows": block.height, "columns": block.width},
+        "counters": {
+            "rows": stats.rows,
+            "runs_visited": stats.runs_visited,
+            "runs_emitted": stats.runs_emitted,
+        },
     }
+    return fields, ""
 
 
-def cmd_characterize(args) -> int:
-    _, block = _load_doc(args.input)
-    doc = None
-    spec = None
+def cmd_characterize(args) -> tuple[dict, str]:
     relative = args.doc is not None
     # --doc takes all four coordinates, and coordinates are nothing without it
     if any((c is None) == relative for c in (args.x1, args.x2, args.y1, args.y2)):
         raise ValidationError("relative mode needs --doc together with --x1/--x2/--y1/--y2")
+    _, block = _load_doc(args.input)
+    doc = spec = None
     if relative:
-        spec = _block_spec(args)
+        spec = BlockSpec(args.x1, args.x2, args.y1, args.y2)
         _, doc = _load_doc(args.doc, spec)
-    result: Characterization = characterize(
-        block, doc=doc, spec=spec, log_base=LOG_BASES[args.log_base]
-    )
-    if args.json:
-        report = _report_skeleton(args, "characterize")
-        report.update(
-            {
-                "input": args.input,
-                "log_base": args.log_base,
-                "absolute": _report_fields(result.absolute),
-                "relative": _report_fields(result.relative) if result.relative else None,
-                "labels": {
-                    "density": result.density_label,
-                    "entropy": result.entropy_label,
-                },
-            }
-        )
-        _emit_json(report)
-    else:
-        for report in (result.absolute, result.relative):
-            if report is None:
-                continue
-            sys.stdout.write(
-                f"{report.context.mode:<9} density={report.density:.6f} "
-                f"ceq={report.ceq:.6f} seq={report.seq:.6f}\n"
-            )
-        if result.density_label is not None:
-            sys.stdout.write(
-                f"labels    density={result.density_label} entropy={result.entropy_label}\n"
-            )
-    return 0
+    result = characterize(block, doc=doc, spec=spec, log_base=LOG_BASES[args.log_base])
+    fields = {
+        "input": args.input,
+        "log_base": args.log_base,
+        "relative": None,
+        "labels": {"density": result.density_label, "entropy": result.entropy_label},
+    }
+    # each report fills the field of its mode: "absolute", and "relative"
+    # when a document was given
+    text = ""
+    for report in (result.absolute, result.relative):
+        if report is None:
+            continue
+        mode = report.context.mode
+        values = {"density": report.density, "ceq": report.ceq, "seq": report.seq}
+        fields[mode] = {"mode": mode, **values}
+        text += f"{mode:<9} " + " ".join(f"{k}={v:.6f}" for k, v in values.items()) + "\n"
+    if result.density_label is not None:
+        text += f"labels    density={result.density_label} entropy={result.entropy_label}\n"
+    return fields, text
 
 
-def _evaluate_pair(extracted: str, truth: str, mode: str):
-    if mode == "pixel":
-        return accuracy_pixel(_load_grid(extracted), _load_grid(truth))
-    return accuracy_compressed(_load_doc(extracted)[1], _load_doc(truth)[1])
-
-
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> tuple[dict, str]:
     a, b = Path(args.extracted), Path(args.truth)
     if a.is_dir() != b.is_dir():
         raise ValidationError("evaluate needs two files or two directories")
@@ -238,25 +183,23 @@ def cmd_evaluate(args) -> int:
         if missing:
             raise ValidationError(f"missing ground truth for: {', '.join(missing)}")
         pairs = [(n, str(a / n), str(b / n)) for n in names]
-    scores = [(n, _evaluate_pair(x, t, args.mode).percentage) for n, x, t in pairs]
-    if args.json:
-        report = _report_skeleton(args, "evaluate")
-        report["mode"] = args.mode
-        if single:
-            report.update(extracted=args.extracted, truth=args.truth, percentage=scores[0][1])
-        else:
-            report["results"] = [{"name": n, "percentage": p} for n, p in scores]
-        _emit_json(report)
+    if args.mode == "pixel":
+        load, score = _load_grid, accuracy_pixel
     else:
-        for n, p in scores:
-            sys.stdout.write(f"{p:.4f}\n" if single else f"{n}: {p:.4f}\n")
-    return 0
+        load, score = (lambda path: _load_doc(path)[1]), accuracy_compressed
+    scores = [(n, score(load(x), load(t)).percentage) for n, x, t in pairs]
+    fields = {"mode": args.mode}
+    if single:
+        fields.update(extracted=args.extracted, truth=args.truth, percentage=scores[0][1])
+    else:
+        fields["results"] = [{"name": n, "percentage": p} for n, p in scores]
+    return fields, "".join(f"{p:.4f}\n" if single else f"{n}: {p:.4f}\n" for n, p in scores)
 
 
-def cmd_info(args) -> int:
+def cmd_info(args) -> tuple[dict, str]:
     kind, doc = _load_doc(args.input)
     foreground = foreground_total(doc)
-    payload = {
+    stats = {
         "format": kind,
         "width": doc.width,
         "height": doc.height,
@@ -264,15 +207,7 @@ def cmd_info(args) -> int:
         "foreground_pixels": foreground,
         "density": foreground / (doc.width * doc.height),
     }
-    if args.json:
-        report = _report_skeleton(args, "info")
-        report["input"] = args.input
-        report.update(payload)
-        _emit_json(report)
-    else:
-        for key, value in payload.items():
-            sys.stdout.write(f"{key}: {value}\n")
-    return 0
+    return {"input": args.input, **stats}, "".join(f"{k}: {v}\n" for k, v in stats.items())
 
 
 # ---------------------------------------------------------------- parser
@@ -367,12 +302,22 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    args._t0 = time.monotonic()
+    start = time.monotonic()
     try:
-        return args.func(args)
+        result = args.func(args)
+        if result is not None:
+            fields, text = result
+            if args.json:
+                report = {"schema": REPORT_SCHEMA, "command": args.command, **fields}
+                if getattr(args, "timing", False):
+                    report["elapsed_seconds"] = round(time.monotonic() - start, 6)
+                text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+            if text:  # a command with nothing to say leaves stdout alone
+                sys.stdout.write(text)
     except tuple(EXIT_CODES) as exc:
         print(f"runblock: error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
+    return 0
 
 
 if __name__ == "__main__":

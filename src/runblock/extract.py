@@ -67,17 +67,6 @@ class BlockSpec:
         if self.y2 > width:
             raise ValidationError(f"y2 ({self.y2}) exceeds image width {width}")
 
-    def compose(self, inner: "BlockSpec") -> "BlockSpec":
-        """Translate `inner`, expressed in this block's local coordinates,
-        into the coordinates of the original image."""
-        inner.validate_for(self.width, self.height)
-        return BlockSpec(
-            x1=self.x1 + inner.x1 - 1,
-            x2=self.x1 + inner.x2 - 1,
-            y1=self.y1 + inner.y1 - 1,
-            y2=self.y1 + inner.y2 - 1,
-        )
-
 
 class BoundaryRecord(NamedTuple):
     """Where one row crosses the block's column boundaries.

@@ -21,6 +21,10 @@ from .features import FeatureContext, FeatureReport
 PIXEL = "pixel"
 COMPRESSED = "compressed"
 
+# Pixels per chunk of rows whose transitions `pixel_features` lists at once,
+# so that its lists of positions stay small however dense the ink is
+_CHUNK_PIXELS = 1 << 16
+
 
 @dataclass(frozen=True)
 class AccuracyResult:
@@ -28,9 +32,6 @@ class AccuracyResult:
 
     percentage: float
     mode: str
-
-    def is_perfect(self) -> bool:
-        return self.percentage == 100.0
 
 
 def oracle_crop(grid, spec: BlockSpec) -> np.ndarray:
@@ -139,13 +140,16 @@ def pixel_features(grid, ctx: FeatureContext) -> FeatureReport:
         if 0.0 < p < 1.0:
             ceq_total += p * _log(1.0 / p, base) + (1.0 - p) * _log(1.0 / (1.0 - p), base)
     seq_total = 0.0
-    for i, col0 in zip(*(index.tolist() for index in np.nonzero(changed))):
-        r = row_offset + i + 1
-        pos = col_offset + col0 + 1  # column of the pixel before the change
-        seq_total += (r / m) * (
-            (pos / n) * _log(n / pos, base)
-            + (m - pos / n) * _log(m / (m + n - pos), base)
-        )
+    rows = max(1, _CHUNK_PIXELS // width)
+    for top in range(0, height, rows):
+        chunk = np.nonzero(changed[top : top + rows])
+        for i, col0 in zip(*(index.tolist() for index in chunk)):
+            r = row_offset + top + i + 1
+            pos = col_offset + col0 + 1  # column of the pixel before the change
+            seq_total += (r / m) * (
+                (pos / n) * _log(n / pos, base)
+                + (m - pos / n) * _log(m / (m + n - pos), base)
+            )
     return FeatureReport(density=density, ceq=ceq_total, seq=seq_total, context=ctx)
 
 

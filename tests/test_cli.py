@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -93,8 +94,7 @@ class TestEncodeDecode:
         raw = tmp_path / "img.mh"
         raw.write_bytes(b"\x0c")
         code, _, err = run(capsys, "decode", raw, tmp_path / "o.pbm")
-        assert code == 2
-        assert "--width" in err
+        assert (code, err) == (2, "runblock: error: raw fax input needs --width, --height, --eol\n")
 
     def test_decode_partial_mh_flags_name_missing(self, tmp_path, capsys):
         raw = tmp_path / "img.mh"
@@ -358,6 +358,14 @@ class TestCharacterize:
         message = "runblock: error: relative mode needs --doc together with --x1/--x2/--y1/--y2\n"
         assert (code, stdout, err) == (2, "", message)
 
+    def test_arguments_checked_before_the_block_is_read(self, tmp_path, capsys):
+        # a corrupt block and coordinates without --doc: the usage error wins
+        bad = tmp_path / "bad.rlc"
+        bad.write_bytes(b"RLC1\n4 1\n5\n")
+        code, stdout, err = run(capsys, "characterize", bad, "--x1", 1)
+        message = "runblock: error: relative mode needs --doc together with --x1/--x2/--y1/--y2\n"
+        assert (code, stdout, err) == (2, "", message)
+
     def test_text_output(self, worked_doc, capsys):
         code, stdout, _ = run(capsys, "characterize", worked_doc)
         assert code == 0
@@ -520,10 +528,41 @@ def test_version_flag(capsys):
     assert "runblock" in capsys.readouterr().out
 
 
-def test_timing_flag_adds_elapsed(worked_doc, capsys):
-    code, stdout, _ = run(capsys, "characterize", worked_doc, "--json", "--timing")
-    assert code == 0
-    assert "elapsed_seconds" in json.loads(stdout)
+@pytest.mark.parametrize("command", ["extract", "characterize", "evaluate", "info"])
+def test_timing_flag_adds_elapsed(worked_doc, tmp_path, capsys, command):
+    argv = {
+        "extract": [worked_doc, tmp_path / "o.rlc", "--x1", 1, "--x2", 2, "--y1", 3, "--y2", 6],
+        "characterize": [worked_doc],
+        "evaluate": [worked_doc, worked_doc, "--mode", "pixel"],
+        "info": [worked_doc],
+    }[command]
+    reports = []
+    for timing in ([], ["--timing"]):
+        code, stdout, _ = run(capsys, command, *argv, "--json", *timing)
+        assert code == 0
+        reports.append(json.loads(stdout))
+    for report in reports:
+        assert (report["schema"], report["command"]) == ("runblock-report/1", command)
+    assert "elapsed_seconds" not in reports[0]
+    assert reports[1]["elapsed_seconds"] >= 0
+    del reports[1]["elapsed_seconds"]
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_stdout_write_error_exits_2(worked_doc, tmp_path, capsys, monkeypatch, extra):
+    class BrokenStdout:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", BrokenStdout())
+    code = main(["info", str(worked_doc), *extra])
+    err = capsys.readouterr().err
+    assert (code, err) == (2, "runblock: error: [Errno 32] Broken pipe\n")
+    # an extract without --json or --trace - prints nothing, so writes nothing
+    rect = ["--x1", "1", "--x2", "2", "--y1", "3", "--y2", "6"]
+    assert main(["extract", str(worked_doc), str(tmp_path / "o.rlc"), *rect]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_common_options_before_the_command(worked_doc, tmp_path, capsys):

@@ -280,7 +280,14 @@ class TestExtractBlock:
             outer = random_spec(rng, doc)
             block = extract_block(doc, outer)
             inner = random_spec(rng, block)
-            assert extract_block(block, inner) == extract_block(doc, outer.compose(inner))
+            # `inner` in the coordinates of `doc`
+            composed = BlockSpec(
+                x1=outer.x1 + inner.x1 - 1,
+                x2=outer.x1 + inner.x2 - 1,
+                y1=outer.y1 + inner.y1 - 1,
+                y2=outer.y1 + inner.y2 - 1,
+            )
+            assert extract_block(block, inner) == extract_block(doc, composed)
 
     def test_trimmed_rows_sum_to_block_width(self):
         rng = np.random.default_rng(10)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from itertools import zip_longest
 
 import numpy as np
@@ -22,6 +23,7 @@ from runblock import (
     oracle_crop,
     pixel_features,
 )
+from runblock import oracle
 
 from helpers import (
     log_uniform_dim,
@@ -251,6 +253,33 @@ class TestPixelFeatures:
                                    block_origin=origin, log_base=base),
                 ):
                     assert pixel_features(grid, ctx) == reference_pixel_features(grid, ctx)
+
+    @pytest.mark.parametrize("chunk_pixels", [1, 40])
+    def test_row_chunks_keep_the_order_of_the_terms(self, monkeypatch, chunk_pixels):
+        # chunks of one row, or of a few, on grids of up to 40 columns
+        monkeypatch.setattr(oracle, "_CHUNK_PIXELS", chunk_pixels)
+        rng = np.random.default_rng(0x5D)
+        for _ in range(20):
+            grid = random_grid(rng, int(rng.integers(1, 30)), int(rng.integers(1, 40)))
+            for ctx in (
+                FeatureContext(mode="absolute", block_dims=grid.shape),
+                FeatureContext(mode="relative", block_dims=grid.shape,
+                               doc_dims=(grid.shape[0] + 5, grid.shape[1] + 1), block_origin=(4, 2)),
+            ):
+                assert pixel_features(grid, ctx) == reference_pixel_features(grid, ctx)
+
+    def test_memory_does_not_grow_with_the_ink(self):
+        # noise of 512 x 512 pixels has about 131,000 transitions: listed
+        # all at once as Python ints, their positions take over 8 MiB
+        grid = random_grid(np.random.default_rng(1), 512, 512)
+        ctx = FeatureContext(mode="absolute", block_dims=grid.shape)
+        tracemalloc.start()
+        try:
+            pixel_features(grid, ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 def test_baseline_cell_ops():
