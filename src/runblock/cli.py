@@ -18,9 +18,12 @@ only write files and return None.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import functools
 import itertools
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -46,6 +49,15 @@ REPORT_SCHEMA = "runblock-report/1"
 
 # exception -> exit code; OSError covers unreadable and unwritable paths
 EXIT_CODES = {ValidationError: 2, FormatError: 3, ConsistencyError: 4, OSError: 2}
+
+
+def _write(stream, text: str) -> None:
+    """Write to a standard stream. Python leaves a stream that was closed at
+    startup as None, and writing to it fails as writing to a closed file
+    does, so a report that cannot be written exits 2."""
+    if stream is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    stream.write(text)
 
 
 def _read(path: str, fax: bool = False) -> tuple[str, bytes]:
@@ -121,7 +133,7 @@ def cmd_extract(args) -> tuple[dict, str]:
     if args.trace is not None:
         lines = ("%d %d %d %d\n" * len(table)) % tuple(itertools.chain.from_iterable(table))
         if args.trace == "-":
-            sys.stdout.write(lines)
+            _write(sys.stdout, lines)
         else:
             Path(args.trace).write_text(lines)
     fields = {
@@ -313,9 +325,11 @@ def main(argv=None) -> int:
                     report["elapsed_seconds"] = round(time.monotonic() - start, 6)
                 text = json.dumps(report, indent=2, sort_keys=True) + "\n"
             if text:  # a command with nothing to say leaves stdout alone
-                sys.stdout.write(text)
+                _write(sys.stdout, text)
     except tuple(EXIT_CODES) as exc:
-        print(f"runblock: error: {exc}", file=sys.stderr)
+        # a diagnostic that cannot be written leaves the exit code as it is
+        with contextlib.suppress(OSError):
+            _write(sys.stderr, f"runblock: error: {exc}\n")
         return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
     return 0
 

@@ -19,17 +19,19 @@ Compression (`encode_image`) runs its chunks on one process-wide thread
 pool with a thread per usable CPU; the CLI's `--jobs` does not size it. A
 first pass counts each chunk's runs, and the chunks then fill their own
 slices of arrays allocated once, since chunk arrays freed by the pool's
-threads stay in their allocator arenas. A page of one chunk leaves the
-pool unstarted. Every other whole-page stage stays on one thread, because
-its work is many short numpy calls, Python steps, or chunks that each
-start where the one before ends.
+threads stay in their allocator arenas. A page of one chunk takes the same
+two passes on the calling thread and leaves the pool unstarted. Every other
+whole-page stage stays on one thread, because its work is many short numpy
+calls, Python steps, or chunks that each start where the one before ends.
 
-Validation happens once, where rows enter the package. `CompressedDoc(...)`
-checks the dimensions and every row with array operations, and rejects
-anything else. Internal producers whose rows are valid by construction
-(`read_rle`, which checks the rows as it parses them, `encode_image`,
-`extract_block_detailed` and `mh_decode_image`) build documents with
-`CompressedDoc._trusted`, which skips that second check.
+Validation happens once, where rows enter the package, and the row rule is
+stated once: `_rows_valid` checks with array operations that every row is
+canonical and sums to the width. `CompressedDoc(...)` checks the dimensions
+and then the rows with it. `read_rle` checks the text of each chunk of rows
+it parses and then the chunk's rows with it. Both name the first bad row.
+`read_rle` and the internal producers whose rows are valid by construction
+(`encode_image`, `extract_block_detailed` and `mh_decode_image`) build
+documents with `CompressedDoc._trusted`, which skips the constructor's check.
 """
 
 from __future__ import annotations
@@ -175,6 +177,23 @@ def canonicalize_row(runs: Sequence[int]) -> RunRow:
     return (0,) * int(colors[:1].sum()) + tuple(merged.tolist())
 
 
+def _rows_valid(runs: np.ndarray, offsets: np.ndarray, width: int) -> bool:
+    """True if every row of the CSR arrays `runs` and `offsets`, the latter
+    starting at 0, is canonical and sums to `width`."""
+    starts = offsets[:-1]
+    return bool(
+        # no row is empty, so each start is a run of its row
+        np.diff(offsets).all()
+        # as unsigned, a negative run is above any width too, and then no
+        # row sum can wrap around
+        and int(np.maximum.reduce(runs.view(np.uint64))) <= width
+        and (np.add.reduceat(runs, starts) == width).all()
+        # so a one-run row has no zero run: the row is canonical if only its
+        # first run may be zero
+        and runs.size - np.count_nonzero(runs) == starts.size - np.count_nonzero(runs[starts])
+    )
+
+
 class CompressedDoc:
     """A run-length compressed binary image: `height` canonical run rows,
     each summing to `width`, in CSR layout. Immutable; safe to share across
@@ -201,28 +220,12 @@ class CompressedDoc:
             raise ValidationError(
                 f"got {len(self.offsets) - 1} rows, expected height {self.height}"
             )
-        runs, offsets, width = self.runs, self.offsets, self.width
-        # as unsigned, a negative run is above any width too
-        if runs.size and int(np.maximum.reduce(runs.view(np.uint64))) <= width:
-            # no sum can wrap around; a row sums to the width exactly when the
-            # cumulative sum at its end is its number times the width, and an
-            # empty row repeats the sum of the row above
-            cumsum = np.add.accumulate(runs)
-            ends = cumsum[offsets[1:] - 1]
-            if (
-                not np.count_nonzero(ends - np.arange(width, (self.height + 1) * width, width))
-                # so no row is empty, and a one-run row has no zero run: the
-                # row is canonical if only its first run may be zero
-                and runs.size - np.count_nonzero(runs) == self.height - np.count_nonzero(runs[offsets[:-1]])
-            ):
-                cumsum.setflags(write=False)
-                self.__dict__["cumsum"] = cumsum
-                return
-        for i, row in enumerate(self.rows, 1):
-            if not is_canonical(row):
-                raise ValidationError(f"row {i} is not canonical: {list(row)}")
-            if sum(row) != width:
-                raise ValidationError(f"row {i} sums to {sum(row)}, expected width {width}")
+        if not _rows_valid(self.runs, self.offsets, self.width):
+            for i, row in enumerate(self.rows, 1):
+                if not is_canonical(row):
+                    raise ValidationError(f"row {i} is not canonical: {list(row)}")
+                if sum(row) != self.width:
+                    raise ValidationError(f"row {i} sums to {sum(row)}, expected width {self.width}")
 
     def _init(self, width: int, height: int, runs: np.ndarray, offsets: np.ndarray) -> None:
         runs.setflags(write=False)
@@ -347,18 +350,16 @@ def encode_image(grid) -> CompressedDoc:
     # each row's run count, summed up into offsets once every chunk is done
     offsets = np.zeros(height + 1, dtype=np.int64)
     step = max(1, CHUNK_PIXELS // width)
-    if height <= step:
-        runs = _encode_rows(arr, offsets[1:])
-    else:
-        # the chunks' run counts first, so that each fills its own slice of
-        # one array; the counting calls are too short to pay on the pool
-        tops = range(0, height, step)
-        starts = list(itertools.accumulate((_count_runs(arr[top : top + step]) for top in tops), initial=0))
-        runs = np.empty(starts[-1], dtype=np.int64)
-        _on_pool(
-            lambda top, first, last: _encode_rows(arr[top : top + step], offsets[top + 1 : top + step + 1], runs[first:last]),
-            tops, starts, starts[1:],
-        )
+    tops = range(0, height, step)
+    # the chunks' run counts first, so that each fills its own slice of one
+    # array; the counting calls are too short to pay on the pool, and so is
+    # the filling of a page of one chunk
+    starts = list(itertools.accumulate((_count_runs(arr[top : top + step]) for top in tops), initial=0))
+    runs = np.empty(starts[-1], dtype=np.int64)
+    list((_on_pool if len(tops) > 1 else map)(
+        lambda top, first, last: _encode_rows(arr[top : top + step], offsets[top + 1 : top + step + 1], runs[first:last]),
+        tops, starts, starts[1:],
+    ))
     np.add.accumulate(offsets, out=offsets)
     return CompressedDoc._trusted(width, height, runs, offsets)
 
@@ -369,9 +370,9 @@ def _count_runs(part: np.ndarray) -> int:
     return part.shape[0] + int(np.count_nonzero(part[:, 0]) + np.count_nonzero(part[:, 1:] != part[:, :-1]))
 
 
-def _encode_rows(part: np.ndarray, counts: np.ndarray, runs: np.ndarray | None = None) -> np.ndarray:
-    """Write the runs of the pixel rows `part` into `runs`, allocated when
-    not given, and each row's run count into `counts`. Returns `runs`."""
+def _encode_rows(part: np.ndarray, counts: np.ndarray, runs: np.ndarray) -> None:
+    """Write the runs of the pixel rows `part` into `runs` and each row's
+    run count into `counts`."""
     rows, width = part.shape
     # a row has a slot before each pixel and one past its end: slot 0 holds
     # a change from white, the leading-zero run, and the last slot the row's end
@@ -385,12 +386,8 @@ def _encode_rows(part: np.ndarray, counts: np.ndarray, runs: np.ndarray | None =
     # where each run ends, counted from the chunk's start: a row's end slot
     # and the next row's slot 0 are the same pixel boundary
     ends -= row
-    if runs is None:
-        runs = ends.copy()
-    else:
-        runs[:] = ends
+    runs[:] = ends
     runs[1:] -= ends[:-1]
-    return runs
 
 
 def decode_image(doc: CompressedDoc) -> np.ndarray:

@@ -83,6 +83,16 @@ class FeatureContext:
                     f"inside document {self.doc_dims}"
                 )
 
+    @property
+    def frame(self) -> tuple[int, int, int, int]:
+        """(m, n, row offset, column offset): the dimensions that normalize
+        the features and the block's offset inside them. These are the
+        block's own with offsets 0 in absolute mode, and the document's with
+        the block's origin less one in relative mode."""
+        if self.mode == ABSOLUTE:
+            return (*self.block_dims, 0, 0)
+        return (*self.doc_dims, self.block_origin[0] - 1, self.block_origin[1] - 1)
+
     @classmethod
     def absolute(cls, block: CompressedDoc, log_base: float = math.e) -> "FeatureContext":
         return cls(mode=ABSOLUTE, block_dims=(block.height, block.width), log_base=log_base)
@@ -147,11 +157,8 @@ def density(block: CompressedDoc, ctx: FeatureContext) -> float:
     """Foreground fraction: ink pixels over block area (absolute) or over
     the source document's area (relative)."""
     _check_block(block, ctx)
-    if ctx.mode == ABSOLUTE:
-        area = block.height * block.width
-    else:
-        area = ctx.doc_dims[0] * ctx.doc_dims[1]
-    return block.foreground / area
+    m, n, _, _ = ctx.frame
+    return block.foreground / (m * n)
 
 
 def _sum(terms: np.ndarray) -> float:
@@ -170,7 +177,7 @@ def ceq(block: CompressedDoc, ctx: FeatureContext) -> float:
     is computed once per distinct transition count.
     """
     _check_block(block, ctx)
-    normalizer = block.width if ctx.mode == ABSOLUTE else ctx.doc_dims[1]
+    normalizer = ctx.frame[1]
     counts, log = block.row_transitions, _logger(ctx.log_base)
     present = sorted(set(counts.tolist()))
     table = np.zeros(present[-1] + 1)
@@ -196,13 +203,7 @@ def seq(block: CompressedDoc, ctx: FeatureContext) -> float:
     `pos` alone, so it is computed once per column of the block.
     """
     _check_block(block, ctx)
-    if ctx.mode == ABSOLUTE:
-        m, n = block.height, block.width
-        row_offset = col_offset = 0
-    else:
-        m, n = ctx.doc_dims
-        row_offset = ctx.block_origin[0] - 1
-        col_offset = ctx.block_origin[1] - 1
+    m, n, row_offset, col_offset = ctx.frame
     log = _logger(ctx.log_base)
     # indexed by the column within the block; column 0 holds no transition
     table = [0.0] + [

@@ -24,7 +24,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .core import MAX_DIM, CompressedDoc, _check_pixels, is_canonical
+from .core import MAX_DIM, CompressedDoc, _check_pixels, _rows_valid, is_canonical
 from .errors import ConsistencyError, FormatError
 
 RLC_MAGIC = "RLC1"
@@ -52,6 +52,11 @@ _P1_KIND[list(b" \t\r\n")] = 0
 _P1_KIND[list(b"01")] = 1
 
 
+# A token of a PBM header: whitespace, a comment, a decimal field (group 1)
+# or any other byte (group 2).
+_PBM_TOKEN = re.compile(rb"[ \t\r\n]+|#[^\r\n]*|([0-9]+)|(.)")
+
+
 def _parse_pbm_header(data: bytes) -> tuple[bytes, int, int, int]:
     """Return (magic, width, height, offset of the raster payload)."""
     magic = data[:2]
@@ -62,21 +67,14 @@ def _parse_pbm_header(data: bytes) -> tuple[bytes, int, int, int]:
     pos = 2
     fields = []
     while len(fields) < 2:
-        if pos >= len(data):
+        token = _PBM_TOKEN.match(data, pos)
+        if token is None:
             raise FormatError(f"truncated PBM header at byte {pos}")
-        c = data[pos]
-        if c in b" \t\r\n":
-            pos += 1
-        elif c in b"#":
-            while pos < len(data) and data[pos] not in b"\r\n":
-                pos += 1
-        elif c in b"0123456789":
-            start = pos
-            while pos < len(data) and data[pos] in b"0123456789":
-                pos += 1
-            fields.append(data[start:pos])
-        else:
-            raise FormatError(f"unexpected byte {bytes([c])!r} at byte {pos} in PBM header")
+        if token[2] is not None:
+            raise FormatError(f"unexpected byte {token[2]!r} at byte {pos} in PBM header")
+        if token[1] is not None:
+            fields.append(token[1])
+        pos = token.end()
     width, height = _dimensions(fields, "PBM")
     if magic == b"P4":
         # exactly one whitespace byte separates the header from the raster
@@ -204,10 +202,11 @@ def read_rle(data: bytes) -> CompressedDoc:
     at a separator, and numpy adds up its digits, last digit first, into
     the preallocated runs array. A token with more than ten significant
     digits, more than any width has, is marked as above the width. The
-    chunk is checked as a whole: no empty token, no run above the width,
-    every row summing to the width, and no zero run past the first of its
-    row. A failed check is reported for the first bad row by `_row_error`,
-    with the row's number.
+    chunk is checked as a whole: no empty token, and then the row rule of
+    `CompressedDoc`, from `core._rows_valid`: no run above the width, every
+    row summing to the width, and no zero run past the first of its row. A
+    failed check is reported for the first bad row by `_row_error`, with the
+    row's number.
     """
     if not data.isascii():
         try:
@@ -249,13 +248,7 @@ def read_rle(data: bytes) -> CompressedDoc:
             high = nonzero[ends[long] - 10] - nonzero[ends[long] - lengths[long]]
             tokens[long[high > 0]] = width + 1
         row_ends = (chars[ends] == ord("\n")).nonzero()[0] + 1
-        row_starts = np.concatenate(([0], row_ends[:-1]))
-        if (
-            not lengths.min()
-            or tokens.max() > width
-            or (np.add.reduceat(tokens, row_starts) != width).any()
-            or np.count_nonzero(tokens == 0) != np.count_nonzero(tokens[row_starts] == 0)
-        ):
+        if not lengths.min() or not _rows_valid(tokens, np.concatenate(([0], row_ends)), width):
             _row_error(chunk.split(b"\n"), row, width)
         offsets[row + 1 : row + 1 + row_ends.size] = first + row_ends
         row += row_ends.size

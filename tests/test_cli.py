@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -563,6 +565,59 @@ def test_stdout_write_error_exits_2(worked_doc, tmp_path, capsys, monkeypatch, e
     rect = ["--x1", "1", "--x2", "2", "--y1", "3", "--y2", "6"]
     assert main(["extract", str(worked_doc), str(tmp_path / "o.rlc"), *rect]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_closed_stdout_exits_2(worked_doc, tmp_path, capsys, monkeypatch):
+    # Python leaves a standard stream that was closed at startup as None
+    monkeypatch.setattr(sys, "stdout", None)
+    rect = ["--x1", "1", "--x2", "2", "--y1", "3", "--y2", "6"]
+    for argv in (
+        ["info", str(worked_doc), "--json"],
+        ["extract", str(worked_doc), str(tmp_path / "o.rlc"), *rect, "--trace", "-"],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "runblock: error: [Errno 9] Bad file descriptor\n"
+    # an extract that prints nothing writes nothing
+    assert main(["extract", str(worked_doc), str(tmp_path / "o.rlc"), *rect]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("stderr", [None, "raises"])
+def test_unwritable_stderr_keeps_the_exit_code(tmp_path, capsys, monkeypatch, stderr):
+    class BadStderr:
+        def write(self, text):
+            raise OSError(9, "Bad file descriptor")
+
+    monkeypatch.setattr(sys, "stderr", None if stderr is None else BadStderr())
+    corrupt = tmp_path / "bad.rlc"
+    corrupt.write_bytes(b"RLC1\n4 1\n3\n")
+    assert main(["info", str(tmp_path / "missing.rlc")]) == 2
+    assert main(["info", str(corrupt)]) == 3
+    assert capsys.readouterr().out == ""
+
+
+RUN_MAIN = "import sys, runblock.cli; sys.exit(runblock.cli.main(sys.argv[1:]))"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize(
+    "fd, command, code, stdout, stderr",
+    [
+        (1, ["info", "{doc}", "--json"], 2, b"", b"runblock: error: [Errno 9] Bad file descriptor\n"),
+        (1, ["extract", "{doc}", "{out}", "--x1", "1", "--x2", "2", "--y1", "3", "--y2", "6"], 0, b"", b""),
+        (2, ["info", "{missing}"], 2, b"", b""),
+        (2, ["info", "{doc}"], 0, b"format: rlc1\nwidth: 8\nheight: 2\ntotal_runs: 4\nforeground_pixels: 8\ndensity: 0.5\n", b""),
+    ],
+)
+def test_closed_standard_stream_in_a_new_process(worked_doc, tmp_path, fd, command, code, stdout, stderr):
+    """The shell closes fd 1 or 2 before the interpreter starts, as `>&-` and
+    `2>&-` do."""
+    paths = {"doc": worked_doc, "out": tmp_path / "o.rlc", "missing": tmp_path / "missing.rlc"}
+    argv = [arg.format(**paths) for arg in command]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    shell = ["sh", "-c", f'"$@" {fd}>&-', "sh", sys.executable, "-c", RUN_MAIN]
+    proc = subprocess.run([*shell, *argv], capture_output=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)
 
 
 def test_common_options_before_the_command(worked_doc, tmp_path, capsys):

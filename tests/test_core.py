@@ -82,6 +82,11 @@ def test_canonicalize_preserves_expansion(runs):
     assert decode_row(canonicalize_row(runs), width) == decode_row(runs, width)
 
 
+def test_canonicalize_rejects_negative_runs():
+    with pytest.raises(FormatError, match=r"^negative run length -2$"):
+        canonicalize_row((3, -2, 5))
+
+
 def test_canonicalize_examples():
     assert canonicalize_row((4, 0, 3)) == (7,)
     assert canonicalize_row((0, 2, 1)) == (0, 2, 1)

@@ -237,7 +237,9 @@ class TestOracleAgreement:
             spec = random_spec(rng, doc)
             block = extract_block(doc, spec)
             grid = decode_image(block)
-            for base in (2.0, math.e, 10.0):
+            # the bases of the CLI, and two that take the general logarithm;
+            # below 1, every entropy is negative
+            for base in (2.0, math.e, 10.0, 3.0, 0.5):
                 contexts = [
                     FeatureContext.absolute(block, log_base=base),
                     FeatureContext.relative(
@@ -252,6 +254,35 @@ class TestOracleAgreement:
                     assert density(block, ctx) == pytest.approx(ref.density, rel=1e-9, abs=1e-12)
                     assert ceq(block, ctx) == pytest.approx(ref.ceq, rel=1e-9, abs=1e-12)
                     assert seq(block, ctx) == pytest.approx(ref.seq, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(mode="diagonal"), r"^unknown mode 'diagonal'$"),
+        (dict(block_dims=(0, 4)), r"^bad block dimensions \(0, 4\)$"),
+        (dict(block_dims=(2, 0)), r"^bad block dimensions \(2, 0\)$"),
+        (dict(log_base=1.0), r"^bad logarithm base 1.0$"),
+        (dict(log_base=0.0), r"^bad logarithm base 0.0$"),
+        (dict(mode="relative", block_origin=(1, 1)), r"^relative mode needs the document dimensions and the block origin$"),
+        (dict(mode="relative", doc_dims=(5, 9)), r"^relative mode needs the document dimensions and the block origin$"),
+        (dict(mode="relative", doc_dims=(5, 9), block_origin=(0, 1)), r"^bad block origin \(0, 1\)$"),
+        (dict(mode="relative", doc_dims=(5, 9), block_origin=(1, 0)), r"^bad block origin \(1, 0\)$"),
+        (dict(mode="relative", doc_dims=(5, 9), block_origin=(5, 1)), r"^block \(2, 4\) at \(5, 1\) does not fit inside document \(5, 9\)$"),
+        (dict(mode="relative", doc_dims=(5, 9), block_origin=(1, 7)), r"^block \(2, 4\) at \(1, 7\) does not fit inside document \(5, 9\)$"),
+    ],
+)
+def test_context_rejections(fields, message):
+    with pytest.raises(ValidationError, match=message):
+        FeatureContext(**{"mode": "absolute", "block_dims": (2, 4), **fields})
+
+
+@pytest.mark.parametrize("feature", [density, ceq, seq])
+def test_features_reject_a_context_of_other_dimensions(feature):
+    block = CompressedDoc.from_rows([(4,)])
+    ctx = FeatureContext(mode="absolute", block_dims=(2, 4))
+    with pytest.raises(ValidationError, match=r"^context is for a \(2, 4\) block, got \(1, 4\)$"):
+        feature(block, ctx)
 
 
 def test_features_invariant_under_canonicalization():

@@ -74,8 +74,19 @@ class TestReadPbm:
         data = b"P1\n# a comment\n3 1\n1 1 0\n"
         assert read_pbm(data).tolist() == [[1, 1, 0]]
 
+    def test_plain_comments_inside_the_raster(self):
+        # a comment may hold digits, sit against a pixel and end the file
+        data = b"P1\n3 2\n1 0#1 1 1 digits\n1 # 0\n0 1 0 # end"
+        assert read_pbm(data).tolist() == [[1, 0, 1], [0, 1, 0]]
+
     def test_packed(self):
         assert read_pbm(b"P4\n3 1\n" + bytes([0b11000000])).tolist() == [[1, 1, 0]]
+
+    @pytest.mark.parametrize("data", [b"P4\n8 1", b"P4\n8 1#\n\x00", b"P4\n8 1x"])
+    def test_packed_header_needs_one_separator(self, data):
+        # the height ends at byte 6; what follows must be one whitespace byte
+        with pytest.raises(FormatError, match=r"^missing separator after PBM header at byte 6$"):
+            read_pbm(data)
 
     def test_packed_padding_ignored(self):
         assert read_pbm(b"P4\n3 1\n" + bytes([0b11011111])).tolist() == [[1, 1, 0]]

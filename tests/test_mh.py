@@ -18,7 +18,7 @@ from runblock import (
     mh_encode_row,
 )
 from runblock import mh
-from runblock.core import _one_row, canonicalize_row, is_canonical
+from runblock.core import MAX_DIM, _one_row, canonicalize_row, is_canonical
 from runblock.mh import (
     BLACK_MAKEUP,
     BLACK_TERMINATING,
@@ -459,6 +459,11 @@ class TestEncodeMatchesReference:
             assert data == ref_encode_image(LONG_RUN_DOC, eol, byte_align)
             assert mh_decode_image(data, 9000, 5, eol=eol, byte_align=byte_align) == LONG_RUN_DOC
             assert ref_decode_image(data, 9000, 5, eol=eol, byte_align=byte_align) == LONG_RUN_DOC
+
+    @pytest.mark.parametrize("width, height", [(0, 1), (1, 0), (MAX_DIM + 1, 1), (1, MAX_DIM + 1)])
+    def test_decode_rejects_bad_dimensions(self, width, height):
+        with pytest.raises(ValidationError, match=rf"^bad dimensions {width} x {height}$"):
+            mh_decode_image(b"\x00", width, height, eol=False)
 
     def test_negative_leading_run_rejected(self):
         with pytest.raises(ValidationError, match="not canonical"):
