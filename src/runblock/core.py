@@ -14,15 +14,11 @@ of `scipy.sparse.csr_matrix`. One read-only int64 array `runs` holds every
 row's runs back to back, and row i is `runs[offsets[i]:offsets[i + 1]]`.
 The global cumulative run sum, the tuple view `rows` and the transition and
 ink counts that the features share are built on first use and cached.
-Whole-page work runs in bounded row chunks, so its temporaries stay small.
-Compression (`encode_image`) runs its chunks on one process-wide thread
-pool with a thread per usable CPU; the CLI's `--jobs` does not size it. A
-first pass counts each chunk's runs, and the chunks then fill their own
-slices of arrays allocated once, since chunk arrays freed by the pool's
-threads stay in their allocator arenas. A page of one chunk takes the same
-two passes on the calling thread and leaves the pool unstarted. Every other
-whole-page stage stays on one thread, because its work is many short numpy
-calls, Python steps, or chunks that each start where the one before ends.
+Whole-page work runs in bounded row chunks on the calling thread, so its
+temporaries stay small; the package starts no threads. Compression
+(`encode_image`) first counts each chunk's runs, so that the chunks fill
+their own slices of one `runs` array and the page's runs are never
+concatenated into a second copy.
 
 Validation happens once, where rows enter the package, and the row rule is
 stated once: `_rows_valid` checks with array operations that every row is
@@ -37,8 +33,6 @@ documents with `CompressedDoc._trusted`, which skips the constructor's check.
 from __future__ import annotations
 
 import itertools
-import os
-import threading
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -55,43 +49,12 @@ FOREGROUND = 1
 MAX_DIM = 2**31 - 1
 
 # Pixels per chunk of rows in whole-page compression and expansion. Small
-# enough that the scratch of the chunks that run at once stays a small share
-# of a page.
+# enough that a chunk's scratch stays a small share of a page.
 CHUNK_PIXELS = 1 << 18
 
 # Pixel budget of every pixel grid the package allocates: 2**28 pixels, a
 # 256 MiB grid, well above a 600 dpi A3 page (70 million pixels).
 MAX_PIXELS = 1 << 28
-
-
-_pool = None  # the process-wide thread pool, started on first use
-_pool_lock = threading.Lock()
-
-
-def _on_pool(fn, *iterables) -> list:
-    """`list(map(fn, *iterables))`, computed on the process-wide thread pool,
-    which has one thread per usable CPU."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            try:
-                cpus = len(os.sched_getaffinity(0))
-            except AttributeError:  # not on every platform
-                cpus = os.cpu_count() or 1
-            _pool = ThreadPoolExecutor(cpus, thread_name_prefix="runblock")
-    return list(_pool.map(fn, *iterables))
-
-
-def _forget_pool() -> None:
-    """In a forked child: the parent's pool threads do not exist there."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _check_pixels(width: int, height: int) -> None:
@@ -352,14 +315,12 @@ def encode_image(grid) -> CompressedDoc:
     step = max(1, CHUNK_PIXELS // width)
     tops = range(0, height, step)
     # the chunks' run counts first, so that each fills its own slice of one
-    # array; the counting calls are too short to pay on the pool, and so is
-    # the filling of a page of one chunk
+    # runs array, and the chunks' runs are not concatenated into a second,
+    # page-sized copy
     starts = list(itertools.accumulate((_count_runs(arr[top : top + step]) for top in tops), initial=0))
     runs = np.empty(starts[-1], dtype=np.int64)
-    list((_on_pool if len(tops) > 1 else map)(
-        lambda top, first, last: _encode_rows(arr[top : top + step], offsets[top + 1 : top + step + 1], runs[first:last]),
-        tops, starts, starts[1:],
-    ))
+    for top, first, last in zip(tops, starts, starts[1:]):
+        _encode_rows(arr[top : top + step], offsets[top + 1 : top + step + 1], runs[first:last])
     np.add.accumulate(offsets, out=offsets)
     return CompressedDoc._trusted(width, height, runs, offsets)
 
@@ -396,6 +357,7 @@ def decode_image(doc: CompressedDoc) -> np.ndarray:
     out = np.empty((doc.height, doc.width), dtype=np.uint8)
     pixels = out.reshape(-1)
     offsets = doc.offsets
+    # `decode_row` of a row that sums to 0 brings a one-row document of width 0
     step = max(1, CHUNK_PIXELS // max(doc.width, 1))
     for top in range(0, doc.height, step):
         bounds = offsets[top : top + step + 1]

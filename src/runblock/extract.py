@@ -22,7 +22,8 @@ pixels of the end run that lie beyond y2 and must be dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
@@ -43,6 +44,14 @@ class BlockSpec:
     y2: int
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            try:
+                if isinstance(value, bool):  # an int to Python, but no coordinate
+                    raise TypeError
+                operator.index(value)
+            except TypeError:
+                raise ValidationError(f"{field.name} must be an integer, got {value!r}") from None
         if self.x1 < 1:
             raise ValidationError(f"x1 must be >= 1, got {self.x1}")
         if self.y1 < 1:

@@ -64,7 +64,7 @@ class FeatureContext:
             raise ValidationError(f"unknown mode {self.mode!r}")
         if self.block_dims[0] < 1 or self.block_dims[1] < 1:
             raise ValidationError(f"bad block dimensions {self.block_dims}")
-        if self.log_base <= 0 or self.log_base == 1.0:
+        if not 0 < self.log_base < math.inf or self.log_base == 1.0:
             raise ValidationError(f"bad logarithm base {self.log_base}")
         if self.mode == RELATIVE:
             if self.doc_dims is None or self.block_origin is None:

@@ -285,9 +285,7 @@ def write_rle(doc: CompressedDoc) -> bytes:
     no trailing whitespace).
 
     Digits are written by array operations, one pass per decimal place, in
-    chunks of rows of about `_CHUNK_RUNS` runs each. The chunks run on the
-    calling thread: on the thread pool, their many short numpy calls made
-    serialization slower, not faster."""
+    chunks of rows of about `_CHUNK_RUNS` runs each."""
     parts = [f"{RLC_MAGIC}\n{doc.width} {doc.height}\n".encode("ascii")]
     # each run's digits and separator, counted in uint8, which numpy adds to
     # faster than int64

@@ -1,10 +1,8 @@
 """Whole-page compression, serialization, expansion and MH encoding cut a
-page into row chunks; compression runs them on the thread pool when there
-is more than one. These tests shrink the chunk constants so that small
+page into row chunks. These tests shrink the chunk constants so that small
 pages split into many chunks, and check that the seams between chunks
-change nothing."""
+change nothing, also when several threads encode at once."""
 
-import multiprocessing
 import os
 import sys
 import threading
@@ -92,23 +90,11 @@ def test_chunked_codec_matches_one_chunk_and_references(monkeypatch, rows_per_ch
         assert data == ref_encode_image(LONG_RUN_DOC, eol, byte_align)
 
 
-def test_one_chunk_call_leaves_the_pool_unstarted(monkeypatch):
-    monkeypatch.setattr(core, "_pool", None)
-    grid = np.random.default_rng(3).integers(0, 2, (4, 4), dtype=np.uint8)
-    # a chunk exactly as large as the grid
-    monkeypatch.setattr(core, "CHUNK_PIXELS", grid.size)
-    doc = encode_image(grid)
-    assert core._pool is None
-    assert doc.rows == ref_encode(grid)
-
-
-def test_concurrent_callers_share_the_pool(monkeypatch):
+def test_concurrent_callers_encode_the_same(monkeypatch):
     """More callers than cores, each splitting its pages into many chunks,
-    with frequent thread switches, starting from no pool: every result
-    matches the references."""
+    with frequent thread switches: every result matches the references."""
     pages = seam_pages()
     expected = [(ref_encode(grid), ref_write_rle(ref_encode(grid), grid.shape[1])) for grid in pages]
-    monkeypatch.setattr(core, "_pool", None)
     monkeypatch.setattr(core, "CHUNK_PIXELS", 64)
     monkeypatch.setattr(formats, "_CHUNK_RUNS", 16)
     failures = []
@@ -135,32 +121,3 @@ def test_concurrent_callers_share_the_pool(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
     assert not failures
-
-
-def _encode_in_child(grid, conn):
-    doc = encode_image(grid)
-    conn.send((doc.runs.tobytes(), doc.offsets.tobytes(), write_rle(doc)))
-    conn.close()
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_child_forked_after_the_pool_ran_encodes_the_same(monkeypatch):
-    grid = seam_pages()[-2]
-    monkeypatch.setattr(core, "CHUNK_PIXELS", 2 * grid.shape[1])
-    monkeypatch.setattr(formats, "_CHUNK_RUNS", 64)
-    doc = encode_image(grid)
-    expected = (doc.runs.tobytes(), doc.offsets.tobytes(), write_rle(doc))
-    assert core._pool is not None
-    context = multiprocessing.get_context("fork")
-    receive, send = context.Pipe(duplex=False)
-    child = context.Process(target=_encode_in_child, args=(grid, send))
-    child.start()
-    try:
-        assert receive.poll(60), "the forked child sent nothing within 60 s"
-        assert receive.recv() == expected
-        child.join(60)
-        assert child.exitcode == 0
-    finally:
-        if child.is_alive():
-            child.kill()
-            child.join()

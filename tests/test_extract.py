@@ -376,6 +376,17 @@ def test_bad_spec_construction():
         BlockSpec(2, 1, 1, 1)
     with pytest.raises(ValidationError):
         BlockSpec(1, 1, 0, 1)
+    for field, name in enumerate(("x1", "x2", "y1", "y2")):
+        for bad in (1.5, "2", None, True):
+            coords = [1, 2, 1, 2]
+            coords[field] = bad
+            with pytest.raises(ValidationError, match=rf"^{name} must be an integer, got {bad!r}$"):
+                BlockSpec(*coords)
+    # numpy integers are coordinates like any other
+    doc = random_doc(np.random.default_rng(61), 12, 16)
+    coords = (2, 7, 3, 11)
+    block = extract_block(doc, BlockSpec(*map(np.int64, coords)))
+    assert block == extract_block(doc, BlockSpec(*coords))
 
 
 def test_page_scale_block_dims_are_inclusive():

@@ -270,6 +270,9 @@ class TestOracleAgreement:
         (dict(mode="relative", doc_dims=(5, 9), block_origin=(1, 0)), r"^bad block origin \(1, 0\)$"),
         (dict(mode="relative", doc_dims=(5, 9), block_origin=(5, 1)), r"^block \(2, 4\) at \(5, 1\) does not fit inside document \(5, 9\)$"),
         (dict(mode="relative", doc_dims=(5, 9), block_origin=(1, 7)), r"^block \(2, 4\) at \(1, 7\) does not fit inside document \(5, 9\)$"),
+        (dict(log_base=math.nan), r"^bad logarithm base nan$"),
+        (dict(log_base=math.inf), r"^bad logarithm base inf$"),
+        (dict(log_base=-math.inf), r"^bad logarithm base -inf$"),
     ],
 )
 def test_context_rejections(fields, message):
