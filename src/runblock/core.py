@@ -22,12 +22,18 @@ concatenated into a second copy.
 
 Validation happens once, where rows enter the package, and the row rule is
 stated once: `_rows_valid` checks with array operations that every row is
-canonical and sums to the width. `CompressedDoc(...)` checks the dimensions
-and then the rows with it. `read_rle` checks the text of each chunk of rows
-it parses and then the chunk's rows with it. Both name the first bad row.
-`read_rle` and the internal producers whose rows are valid by construction
-(`encode_image`, `extract_block_detailed` and `mh_decode_image`) build
-documents with `CompressedDoc._trusted`, which skips the constructor's check.
+canonical and sums to the width. `CompressedDoc(...)` converts the caller's
+runs with `_flatten`, which rejects a run length that is not an integer, and
+then checks the dimensions and the rows with `_rows_valid`. Every caller's
+run row goes through it: `from_rows` and the public helpers that take one
+run row build their documents with it, and `canonicalize_row`, which takes
+non-canonical rows, reads its runs with `_flatten`. `read_rle` checks the
+text of each chunk of rows it parses and then the chunk's rows with
+`_rows_valid`. Both name the first bad row. `read_rle` and the internal producers whose rows are valid
+by construction (`encode_image`, `extract_block_detailed` and
+`mh_decode_image`) build documents with `CompressedDoc._trusted`, which
+skips the constructor's check. A pixel grid is checked once as well, by
+`_pixel_grid`, for `encode_image` and `formats.write_pbm`.
 """
 
 from __future__ import annotations
@@ -115,13 +121,15 @@ def encode_row(pixels: Sequence[int]) -> RunRow:
 
 
 def decode_row(runs: Sequence[int], width: int) -> list[int]:
-    """Expand a run row back into a list of 0/1 pixels of length `width`."""
-    doc = _one_row(runs)
-    if (doc.runs < 0).any():
-        raise FormatError(f"negative run length {doc.runs[doc.runs < 0][0]}")
-    if doc.width != width:
-        raise FormatError(f"row sums to {doc.width}, expected width {width}")
-    return decode_image(doc)[0].tolist()
+    """Expand a run row back into a list of 0/1 pixels of length `width`.
+
+    The row may be non-canonical: it is canonicalized first, which rejects
+    a negative run with a `FormatError`, and must then sum to `width`, which
+    must be at least 1."""
+    row = canonicalize_row(runs)
+    if sum(row) != width:
+        raise FormatError(f"row sums to {sum(row)}, expected width {width}")
+    return decode_image(CompressedDoc.from_rows([row]))[0].tolist()
 
 
 def canonicalize_row(runs: Sequence[int]) -> RunRow:
@@ -129,9 +137,10 @@ def canonicalize_row(runs: Sequence[int]) -> RunRow:
 
     Zero-length interior runs are removed by merging the equal-color runs
     they separate; a leading zero is kept only when the first pixel is
-    foreground.
+    foreground. Run lengths must be integers, as for `CompressedDoc`; a
+    negative one raises a `FormatError`. A row of no pixels gives `()`.
     """
-    runs = np.asarray(runs, dtype=np.int64)
+    runs = _flatten([runs])[0]
     if (runs < 0).any():
         raise FormatError(f"negative run length {runs[runs < 0][0]}")
     colors = np.flatnonzero(runs) & 1
@@ -207,11 +216,15 @@ class CompressedDoc:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "CompressedDoc":
-        """Build a document from run rows, inferring width and height."""
-        rows = tuple(tuple(r) for r in rows)
-        if not rows:
+        """Build a document from run rows, inferring width and height, with
+        the constructor's checks."""
+        runs, offsets = _flatten(rows)
+        if offsets.size == 1:
             raise ValidationError("a document needs at least one row")
-        return cls(width=sum(rows[0]), height=len(rows), rows=rows)
+        # in Python ints, so that no int64 sum wraps into the width range
+        doc = cls._trusted(sum(runs[: offsets[1]].tolist()), offsets.size - 1, runs, offsets)
+        doc.__post_init__()
+        return doc
 
     def __setattr__(self, name, value):
         raise AttributeError(f"CompressedDoc is immutable; cannot set {name!r}")
@@ -280,15 +293,9 @@ class CompressedDoc:
         return int(np.add.reduce(in_row))
 
 
-def _one_row(row: Sequence[int]) -> CompressedDoc:
-    """A one-row document of `row`, unchecked, as wide as the row's sum."""
-    runs = np.asarray(row, dtype=np.int64)
-    return CompressedDoc._trusted(int(runs.sum()), 1, runs, np.array([0, runs.size]))
-
-
-def encode_image(grid) -> CompressedDoc:
-    """Compress a rectangular 0/1 pixel grid (nested sequences or a 2-D
-    numpy array) into a CompressedDoc."""
+def _pixel_grid(grid) -> np.ndarray:
+    """`grid` as an array, checked to be a non-empty rectangular 2-D grid of
+    0/1 pixels with at most MAX_DIM per side."""
     try:
         arr = np.asarray(grid)
     except ValueError as exc:
@@ -310,6 +317,14 @@ def encode_image(grid) -> CompressedDoc:
     height, width = arr.shape
     if max(height, width) > MAX_DIM:
         raise ValidationError(f"grid of {height} x {width} pixels exceeds {MAX_DIM} per side")
+    return arr
+
+
+def encode_image(grid) -> CompressedDoc:
+    """Compress a rectangular 0/1 pixel grid (nested sequences or a 2-D
+    numpy array) into a CompressedDoc."""
+    arr = _pixel_grid(grid)
+    height, width = arr.shape
     # each row's run count, summed up into offsets once every chunk is done
     offsets = np.zeros(height + 1, dtype=np.int64)
     step = max(1, CHUNK_PIXELS // width)
@@ -357,8 +372,7 @@ def decode_image(doc: CompressedDoc) -> np.ndarray:
     out = np.empty((doc.height, doc.width), dtype=np.uint8)
     pixels = out.reshape(-1)
     offsets = doc.offsets
-    # `decode_row` of a row that sums to 0 brings a one-row document of width 0
-    step = max(1, CHUNK_PIXELS // max(doc.width, 1))
+    step = max(1, CHUNK_PIXELS // doc.width)
     for top in range(0, doc.height, step):
         bounds = offsets[top : top + step + 1]
         first, last = int(bounds[0]), int(bounds[-1])

@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import CompressedDoc, RunRow, _one_row
+from .core import CompressedDoc, RunRow
 from .errors import ConsistencyError, ValidationError
 
 
@@ -179,7 +179,7 @@ def _locate(row: Sequence[int], column: int, which: str) -> BoundaryRecord:
     `column`, from the same search as extraction's."""
     if column < 1:
         raise ValidationError(f"{which} column must be >= 1, got {column}")
-    doc = _one_row(row)
+    doc = CompressedDoc.from_rows([row])
     if column > doc.width:
         raise ValidationError(f"{which} column {column} is beyond the row width {doc.width}")
     return _records(*_bounds(doc, 0, 1, column, column)[0])[0]
@@ -222,13 +222,15 @@ def trim_row(row: Sequence[int], rec: BoundaryRecord, width: int | None = None) 
     end_residue pixels. A zero-length background run is prepended when the
     start run is foreground so the output stays background-first.
 
-    For a canonical `row` the output is canonical by construction: the first
-    and last runs are at least 1 by the residue checks, the interior runs are
-    copied from the row, and the leading zero appears exactly when p1 is even.
+    `row` is checked as `CompressedDoc` checks a row. The output is then
+    canonical by construction: the first and last runs are at least 1 by the
+    residue checks, the interior runs are copied from the row, and the
+    leading zero appears exactly when p1 is even.
 
     `width`, when given, is the expected block width; a mismatch means the
     record does not belong to this row.
     """
+    runs = CompressedDoc.from_rows([row]).runs
     p1, r1, p2, r2 = rec.start_run, rec.start_residue, rec.end_run, rec.end_residue
     if not 1 <= p1 <= p2 <= len(row):
         raise ConsistencyError(f"boundary runs ({p1}, {p2}) out of range for {len(row)} runs")
@@ -239,7 +241,7 @@ def trim_row(row: Sequence[int], rec: BoundaryRecord, width: int | None = None) 
     if p1 == p2 and r1 <= r2:
         raise ConsistencyError(f"single-run record with start residue {r1} <= end residue {r2}")
     bounds = (np.array([v]) for v in (0, p1 - 1, r1, p2 - 1, r2))
-    out = tuple(_cut(np.asarray(row, dtype=np.int64), *bounds)[0].tolist())
+    out = tuple(_cut(runs, *bounds)[0].tolist())
     if width is not None and sum(out) != width:
         raise ConsistencyError(
             f"trimmed row sums to {sum(out)}, expected block width {width}"

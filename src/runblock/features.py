@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CompressedDoc, _one_row
+from .core import CompressedDoc
 from .errors import ConsistencyError, ValidationError
 from .extract import BlockSpec, extract_block
 
@@ -126,19 +126,19 @@ class FeatureReport:
 
 def transitions_in_row(row: Sequence[int]) -> int:
     """Number of adjacent opposite-color pixel pairs in a canonical row."""
-    return int(_one_row(row).row_transitions[0]) if len(row) else 0
+    return int(CompressedDoc.from_rows([row]).row_transitions[0])
 
 
 def foreground_pixels(row: Sequence[int]) -> int:
     """Foreground pixel count of a canonical background-first row: the sum
     of the runs at even 1-indexed positions."""
-    return _one_row(row).foreground
+    return CompressedDoc.from_rows([row]).foreground
 
 
 def transition_columns(row: Sequence[int]) -> list[int]:
     """Columns of the color transitions in a canonical row, 1-indexed: the
     column of the last pixel before each color change."""
-    return _one_row(row).transitions[1].tolist()
+    return CompressedDoc.from_rows([row]).transitions[1].tolist()
 
 
 def foreground_total(block: CompressedDoc) -> int:

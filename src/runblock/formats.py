@@ -24,7 +24,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .core import MAX_DIM, CompressedDoc, _check_pixels, _rows_valid, is_canonical
+from .core import MAX_DIM, CompressedDoc, _check_pixels, _pixel_grid, _rows_valid, is_canonical
 from .errors import ConsistencyError, FormatError
 
 RLC_MAGIC = "RLC1"
@@ -133,9 +133,7 @@ def read_pbm(data: bytes) -> np.ndarray:
 
 def write_pbm(grid, plain: bool = False) -> bytes:
     """Serialize a 0/1 grid as P4 (default) or P1 (`plain=True`) bytes."""
-    arr = np.asarray(grid, dtype=np.uint8)
-    if arr.ndim != 2 or arr.size == 0:
-        raise FormatError("pixel grid must be a non-empty 2-D array")
+    arr = _pixel_grid(grid).astype(np.uint8, copy=False)
     height, width = arr.shape
     header = f"{'P1' if plain else 'P4'}\n{width} {height}\n".encode("ascii")
     if plain:

@@ -74,7 +74,7 @@ from typing import Sequence
 import numpy as np
 
 from . import core
-from .core import MAX_DIM, CompressedDoc, RunRow, canonicalize_row, is_canonical
+from .core import MAX_DIM, CompressedDoc, RunRow, canonicalize_row
 from .errors import FormatError, ValidationError
 
 EOL = "000000000001"
@@ -177,8 +177,6 @@ def _row_bits(runs: np.ndarray, offsets: np.ndarray, eol: bool, byte_align: bool
 
     `carry` is the number of stream bits before the rows, or that number
     modulo 8: it sets the fill before the first end-of-line code."""
-    if (runs < 0).any():
-        raise ValidationError(f"negative run length {runs[runs < 0][0]}")
     # a run's color is the parity of its index within its row
     color = (np.arange(runs.size) - np.repeat(offsets[:-1], np.diff(offsets))) & 1
     # A run becomes three slots of codewords: the 2560 make-up code
@@ -395,10 +393,8 @@ def _gather(records, row_ends) -> tuple[np.ndarray, np.ndarray]:
 
 def mh_encode_row(row: Sequence[int]) -> str:
     """Encode one canonical run row as a '0'/'1' codeword string."""
-    if not is_canonical(row):
-        raise ValidationError(f"run row is not canonical: {list(row)}")
-    runs = np.asarray(row, dtype=np.int64)
-    bits = _row_bits(runs, np.array([0, runs.size]), eol=False, byte_align=False, carry=0)
+    doc = CompressedDoc.from_rows([row])
+    bits = _row_bits(doc.runs, doc.offsets, eol=False, byte_align=False, carry=0)
     return (bits + ord("0")).tobytes().decode()
 
 

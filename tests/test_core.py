@@ -1,13 +1,15 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from runblock import (
     BlockSpec,
+    BoundaryRecord,
     CompressedDoc,
     FormatError,
     ValidationError,
@@ -17,10 +19,17 @@ from runblock import (
     encode_image,
     encode_row,
     extract_block,
+    foreground_pixels,
     is_canonical,
+    locate_end,
+    locate_start,
     mh_decode_image,
     mh_encode_image,
+    mh_encode_row,
     read_rle,
+    transition_columns,
+    transitions_in_row,
+    trim_row,
     write_rle,
 )
 
@@ -77,8 +86,15 @@ def test_round_trip_random(pixels):
 
 
 @given(st.lists(st.integers(0, 6), min_size=1, max_size=30))
+@example([0, 0])
 def test_canonicalize_preserves_expansion(runs):
     width = sum(runs)
+    if width == 0:
+        # no row is 0 pixels wide, before or after canonicalizing
+        for row in (canonicalize_row(runs), runs):
+            with pytest.raises(ValidationError, match="^width 0 out of range"):
+                decode_row(row, width)
+        return
     assert decode_row(canonicalize_row(runs), width) == decode_row(runs, width)
 
 
@@ -134,6 +150,20 @@ class TestCompressedDoc:
         with pytest.raises(ValidationError):
             CompressedDoc(width=0, height=1, rows=((),))
 
+    def test_from_rows_messages(self):
+        for rows, message in [
+            ([("3", "4")], "^row 1 holds a run length that is not an integer: '3'$"),
+            ([(3,), (1.5, 1.5)], "^row 2 holds a run length that is not an integer: 1.5$"),
+            ([], "^a document needs at least one row$"),
+            ([()], "^width 0 out of range"),
+            ([(0,), (1,)], "^width 0 out of range"),
+            ([(3,), (2,)], "^row 2 sums to 2, expected width 3$"),
+            # the width is summed without wrapping around 64 bits
+            ([(2**62, 2**62, 2**62, 2**62)], f"^width {2**64} out of range"),
+        ]:
+            with pytest.raises(ValidationError, match=message):
+                CompressedDoc.from_rows(rows)
+
 
 class TestImageCodec:
     def test_single_pixel(self):
@@ -186,6 +216,48 @@ class TestImageCodec:
             grid = random_grid(rng, 8, 32, rng.uniform(0, 1))
             for row in encode_image(grid).rows:
                 assert all(r >= 1 for r in row[1:])
+
+
+# The public helpers that take one run row, each called with that row alone.
+ROW_HELPERS = {
+    "transitions_in_row": transitions_in_row,
+    "foreground_pixels": foreground_pixels,
+    "transition_columns": transition_columns,
+    "locate_start": lambda row: locate_start(row, 1),
+    "locate_end": lambda row: locate_end(row, 1),
+    "trim_row": lambda row: trim_row(row, BoundaryRecord(1, 1, 1, 0)),
+    "mh_encode_row": mh_encode_row,
+    "canonicalize_row": canonicalize_row,
+    "decode_row": lambda row: decode_row(row, 0),
+}
+# canonicalize_row and decode_row take non-canonical rows by design
+CANONICAL_ONLY = [name for name in ROW_HELPERS if name not in ("canonicalize_row", "decode_row")]
+BAD_ROW_CASES = [
+    *(
+        (name, row, ValidationError, "^row 1 holds a run length that is not an integer")
+        for name in ROW_HELPERS
+        for row in [(1.5, 2.5), ("3", "4")]
+    ),
+    *(
+        (name, row, ValidationError, r"^row 1 is not canonical: \[" if sum(row) else "^width 0 out of range")
+        for name in CANONICAL_ONLY
+        for row in [(2, 0, 1), (-1, 4), (), (0,)]
+    ),
+    *(("decode_row", row, ValidationError, "^width 0 out of range") for row in [(), (0,)]),
+    *((name, (-1, 4), FormatError, "^negative run length -1$") for name in ("canonicalize_row", "decode_row")),
+]
+
+
+@pytest.mark.parametrize(
+    "name, row, error, message", BAD_ROW_CASES, ids=[f"{c[0]}-{c[1]!r}" for c in BAD_ROW_CASES]
+)
+def test_row_helpers_check_rows_as_the_constructor_does(name, row, error, message):
+    """A run row a helper cannot take is rejected with the constructor's
+    message, not truncated, parsed or computed on, and raises no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            ROW_HELPERS[name](row)
 
 
 def reference_is_canonical(runs):

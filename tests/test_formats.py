@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from runblock import (
     CompressedDoc,
     FormatError,
+    ValidationError,
     decode_image,
     encode_image,
     is_canonical,
@@ -151,6 +152,14 @@ class TestWritePbm:
         for _ in range(50):
             grid = random_grid(rng, int(rng.integers(1, 40)), int(rng.integers(1, 40)))
             assert np.array_equal(read_pbm(write_pbm(grid, plain=True)), grid)
+
+    def test_bad_grids_rejected(self):
+        """Only a rectangular 2-D grid of 0/1 pixels is written, as
+        `encode_image` takes it, not a file that `read_pbm` rejects."""
+        for grid in ([[2, 0]], [[1.7, 0]], [["1", "0"]], [[256]], [[-1]], [[0, 1], [0]]):
+            for plain in (False, True):
+                with pytest.raises(ValidationError):
+                    write_pbm(grid, plain=plain)
 
     def test_plain_lines_stay_short(self):
         grid = np.ones((2, 300), dtype=np.uint8)

@@ -18,7 +18,7 @@ from runblock import (
     mh_encode_row,
 )
 from runblock import mh
-from runblock.core import MAX_DIM, _one_row, canonicalize_row, is_canonical
+from runblock.core import MAX_DIM, canonicalize_row, is_canonical
 from runblock.mh import (
     BLACK_MAKEUP,
     BLACK_TERMINATING,
@@ -470,10 +470,6 @@ class TestEncodeMatchesReference:
             CompressedDoc.from_rows([(-1, 5)])
         with pytest.raises(ValidationError, match="not canonical"):
             mh_encode_row((-1, 5))
-        # the run coder's own check, on a document that skipped validation
-        doc = _one_row((-1, 5))
-        with pytest.raises(ValidationError, match="negative run length -1"):
-            mh_encode_image(doc, eol=False)
 
 
 def mutated_streams(rng, doc, eol, byte_align):
