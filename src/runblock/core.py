@@ -33,7 +33,10 @@ text of each chunk of rows it parses and then the chunk's rows with
 by construction (`encode_image`, `extract_block_detailed` and
 `mh_decode_image`) build documents with `CompressedDoc._trusted`, which
 skips the constructor's check. A pixel grid is checked once as well, by
-`_pixel_grid`, for `encode_image` and `formats.write_pbm`.
+`_pixel_grid`, for `encode_image`, `formats.write_pbm` and
+`oracle.accuracy_pixel`, and so is an integer dimension or coordinate, by
+`_check_integers`, for `CompressedDoc`, `BlockSpec`, `FeatureContext` and
+the MH decoders.
 """
 
 from __future__ import annotations
@@ -67,6 +70,15 @@ def _check_pixels(width: int, height: int) -> None:
     """Reject a grid of more than MAX_PIXELS pixels, before it is allocated."""
     if width * height > MAX_PIXELS:
         raise ValidationError(f"{width} x {height} pixels exceed the pixel budget of {MAX_PIXELS}")
+
+
+def _check_integers(**values) -> None:
+    """Raise a ValidationError for the first of `values` that is not an
+    integer: a bool, or a value without `__index__`, such as a float or a
+    numeric string."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def _is_integer(value) -> bool:
@@ -184,6 +196,7 @@ class CompressedDoc:
         """Check the dimensions, the row count and every row. The rows are
         checked as arrays; a failure names the first bad row, with the
         message of a row-by-row check."""
+        _check_integers(width=self.width, height=self.height)
         if not 1 <= self.width <= MAX_DIM:
             raise ValidationError(f"width {self.width} out of range 1..{MAX_DIM}")
         if not 1 <= self.height <= MAX_DIM:

@@ -22,14 +22,13 @@ pixels of the end run that lie beyond y2 and must be dropped.
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import CompressedDoc, RunRow
+from .core import CompressedDoc, RunRow, _check_integers
 from .errors import ConsistencyError, ValidationError
 
 
@@ -44,14 +43,7 @@ class BlockSpec:
     y2: int
 
     def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            try:
-                if isinstance(value, bool):  # an int to Python, but no coordinate
-                    raise TypeError
-                operator.index(value)
-            except TypeError:
-                raise ValidationError(f"{field.name} must be an integer, got {value!r}") from None
+        _check_integers(**vars(self))
         if self.x1 < 1:
             raise ValidationError(f"x1 must be >= 1, got {self.x1}")
         if self.y1 < 1:

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CompressedDoc
+from .core import CompressedDoc, _check_integers
 from .errors import ConsistencyError, ValidationError
 from .extract import BlockSpec, extract_block
 
@@ -62,6 +62,8 @@ class FeatureContext:
     def __post_init__(self):
         if self.mode not in (ABSOLUTE, RELATIVE):
             raise ValidationError(f"unknown mode {self.mode!r}")
+        for name in ("block_dims", "doc_dims", "block_origin"):
+            _check_integers(**{f"{name}[{i}]": v for i, v in enumerate(getattr(self, name) or ())})
         if self.block_dims[0] < 1 or self.block_dims[1] < 1:
             raise ValidationError(f"bad block dimensions {self.block_dims}")
         if not 0 < self.log_base < math.inf or self.log_base == 1.0:

@@ -137,13 +137,13 @@ def write_pbm(grid, plain: bool = False) -> bytes:
     height, width = arr.shape
     header = f"{'P1' if plain else 'P4'}\n{width} {height}\n".encode("ascii")
     if plain:
-        lines = []
-        for row in arr:
-            digits = row.tolist()
-            # keep lines comfortably under the 70-character convention
-            for start in range(0, width, 32):
-                lines.append(" ".join(str(d) for d in digits[start : start + 32]))
-        return header + "\n".join(lines).encode("ascii") + b"\n"
+        # each pixel's digit and the separator after it: a newline after
+        # every 32nd pixel of a row, which keeps lines comfortably under the
+        # 70-character convention, and after its last pixel; a space otherwise
+        text = np.full((height, width, 2), ord(" "), dtype=np.uint8)
+        text[:, :, 0] = arr + ord("0")
+        text[:, 31::32, 1] = text[:, -1, 1] = ord("\n")
+        return header + text.tobytes()
     return header + np.packbits(arr, axis=1).tobytes()
 
 

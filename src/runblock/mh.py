@@ -7,16 +7,17 @@ codes (multiples of 64, color-specific up to 1728, shared "extended" codes
 up to 2560) followed by a terminating code. Runs longer than 2623 are
 handled by repeating the 2560 make-up code.
 
-Both directions read the same codebooks. The encoder is array code over
-one table of (code, bit count) pairs: `np.repeat` turns each run into its
-codewords, `np.insert` adds one pseudo-codeword per row for the framing
-(fill and end-of-line code, or fill alone), and each codeword, left-aligned
-in 24 bits, is unpacked to one byte per bit and cut to its length. It works
-on a chunk of rows at a time, so its temporaries follow a chunk, not the
-page. The decoder first computes, for every bit position of the stream,
-the 13 bits that start there (zero past the end). The codes are
-prefix-free, so a lookup of the zero-padded window names exactly the
-codeword a bit-by-bit search would find.
+Both directions read one table of (code, bit count) pairs, `_code_table`,
+built once from the codebooks. The encoder is array code over it:
+`np.repeat` turns each run into its codewords, `np.insert` adds one
+pseudo-codeword per row for the framing (fill and end-of-line code, or fill
+alone), and each codeword, left-aligned in 24 bits, is unpacked to one byte
+per bit and cut to its length. It works on a chunk of rows at a time, so
+its temporaries follow a chunk, not the page. The decoder builds its own
+table of windows from the same pairs. It first computes, for every bit
+position of the stream, the 13 bits that start there (zero past the end).
+The codes are prefix-free, so a lookup of the zero-padded window names
+exactly the codeword a bit-by-bit search would find.
 
 The decoder reads one table of two entries per key, a window together with
 the row's color and whether the row is inside a run. The whole-code entry
@@ -135,29 +136,10 @@ EXTENDED_MAKEUP = {
 MAX_MAKEUP = 2560
 MAX_SINGLE_RUN = MAX_MAKEUP + 63  # longest run one make-up + terminating pair covers
 
-_WHITE_MAKEUP_ALL = {**WHITE_MAKEUP, **EXTENDED_MAKEUP}
-_BLACK_MAKEUP_ALL = {**BLACK_MAKEUP, **EXTENDED_MAKEUP}
-
 
 # Bits in a decoder window: the longest codeword (black make-up codes of
 # 13 bits). A window starting at an end-of-line code reads 12 bits of it.
 _PEEK = 13
-
-
-def _code_windows(terminating, makeup):
-    """(windows, code length, run value, is terminating) of every codeword
-    of one color, where `windows` is the slice of the 13-bit windows that
-    start with the codeword."""
-    codes = [(code, value, True) for value, code in enumerate(terminating)]
-    codes += [(code, value, False) for value, code in makeup.items()]
-    for code, value, terminating_code in codes:
-        span = 1 << (_PEEK - len(code))
-        start = int(code, 2) * span
-        yield slice(start, start + span), len(code), value, terminating_code
-
-
-# (terminating codes, make-up codes) of each color, white first
-_CODEBOOKS = ((WHITE_TERMINATING, _WHITE_MAKEUP_ALL), (BLACK_TERMINATING, _BLACK_MAKEUP_ALL))
 
 
 @functools.cache
@@ -165,8 +147,9 @@ def _code_table() -> np.ndarray:
     """(code, bit count) of every codeword, by color: the terminating code of
     a run of v pixels at index v, and the make-up code of v at 63 + v // 64."""
     table = np.zeros((2, 64 + MAX_MAKEUP // 64, 2), dtype=np.int32)
-    for color, (terminating, makeup) in enumerate(_CODEBOOKS):
-        for index, code in [*enumerate(terminating), *((63 + v // 64, c) for v, c in makeup.items())]:
+    for color, (terminating, makeup) in enumerate(((WHITE_TERMINATING, WHITE_MAKEUP), (BLACK_TERMINATING, BLACK_MAKEUP))):
+        codes = [*enumerate(terminating), *((63 + v // 64, c) for v, c in {**makeup, **EXTENDED_MAKEUP}.items())]
+        for index, code in codes:
             table[color, index] = int(code, 2), len(code)
     table.flags.writeable = False  # shared by every call
     return table
@@ -286,11 +269,14 @@ def _tables() -> tuple[np.ndarray, memoryview, np.ndarray, list[int]]:
     """
     table = np.full(2 * _CODE, _CODE | _STUCK, dtype=np.int32)
     step, code = table[:_CODE], table[_CODE:]
-    for color, codebook in enumerate(_CODEBOOKS):
-        for windows, length, value, terminating in _code_windows(*codebook):
-            # a terminating code ends the run and flips the color; a make-up
-            # code enters the run, or keeps the row inside it
-            entry = length << _USED | _CODE | (_ENDS | _BLACK | value if terminating else _INSIDE | value - 1)
+    for color, codes in enumerate(_code_table().tolist()):
+        for index, (word, length) in enumerate(codes):
+            windows = slice(word << _PEEK - length, word + 1 << _PEEK - length)  # that start with it
+            # a terminating code (of `index` pixels) ends the run and flips
+            # the color; a make-up code (of 64 * (index - 63)) enters the
+            # run, or keeps the row inside it
+            value = index if index < 64 else 64 * (index - 63)
+            entry = length << _USED | _CODE | (_ENDS | _BLACK | value if index < 64 else _INSIDE | value - 1)
             code[color << _PEEK :][windows] = entry
             code[_INSIDE | color << _PEEK :][windows] = (entry ^ _INSIDE) + 1
     step[:] = code
@@ -400,6 +386,7 @@ def mh_encode_row(row: Sequence[int]) -> str:
 
 def mh_decode_row(bits: str, width: int) -> RunRow:
     """Decode a single row's codewords; all bits must be consumed."""
+    core._check_integers(width=width)
     if width < 1:
         raise ValidationError(f"bad width {width}")
     records = array("H")
@@ -554,6 +541,7 @@ def mh_decode_image(
     data: bytes, width: int, height: int, *, eol: bool, byte_align: bool = False
 ) -> CompressedDoc:
     """Decode `height` rows of `width` pixels from packed bytes."""
+    core._check_integers(width=width, height=height)
     if not 1 <= width <= MAX_DIM or not 1 <= height <= MAX_DIM:
         raise ValidationError(f"bad dimensions {width} x {height}")
     win = _windows(data)

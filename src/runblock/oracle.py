@@ -3,7 +3,8 @@
 Everything here works on expanded pixels (or, for the compressed accuracy
 metric, on raw run matrices) and deliberately shares no computation helpers
 with the run-domain modules: agreement between the two paths is evidence,
-not tautology.
+not tautology. Input checks are shared: `accuracy_pixel` checks its grids
+with `core._pixel_grid`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CompressedDoc
+from .core import CompressedDoc, _pixel_grid
 from .errors import ValidationError
 from .extract import BlockSpec
 from .features import FeatureContext, FeatureReport
@@ -47,17 +48,11 @@ def oracle_crop(grid, spec: BlockSpec) -> np.ndarray:
 
 def accuracy_pixel(a, b) -> AccuracyResult:
     """Percentage of agreeing pixels between two equally sized 0/1 grids:
-    [1 - sum|A - B| / (m*n)] * 100."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 2:
+    [1 - sum|A - B| / (m*n)] * 100. Each grid gets the package's grid check,
+    `core._pixel_grid`, and then the two shapes must be equal."""
+    a, b = _pixel_grid(a), _pixel_grid(b)
+    if a.shape != b.shape:
         raise ValidationError(f"grid dimensions differ: {a.shape} vs {b.shape}")
-    if a.size == 0:
-        raise ValidationError("grid must contain at least one pixel")
-    for grid in (a, b):
-        # unsigned and boolean pixels are 0/1 when their maximum is
-        if not (grid.max() <= 1 if grid.dtype.kind in "bu" else ((grid == 0) | (grid == 1)).all()):
-            raise ValidationError("grid contains pixel values other than 0 and 1")
     # of two 0/1 pixels, |A - B| is 1 exactly where they differ
     mismatches = int(np.count_nonzero(a != b))
     pct = (1.0 - mismatches / a.size) * 100.0
@@ -68,9 +63,11 @@ def accuracy_compressed(a: CompressedDoc, b: CompressedDoc) -> AccuracyResult:
     """Accuracy computed on the run matrices themselves.
 
     Rows are compared entry-wise with the shorter run list right-padded
-    with zero-length runs; the mismatch mass is normalized by
-    rows * (sum of the first row of A), which by the row-sum invariant is
-    the pixel area. Mismatch mass larger than that area clamps to 0.
+    with zero-length runs, and the mismatch mass is normalized by the pixel
+    area, height * width. Since |x - y| = x + y - 2 * min(x, y), each
+    document's runs sum to the area and a padded entry's min is 0, the mass
+    is 2 * (area - the sum of min(a_i, b_i) over the entries both rows
+    hold). Mismatch mass larger than the area clamps to 0.
     """
     if a.height != b.height:
         raise ValidationError(f"heights differ: {a.height} vs {b.height}")
@@ -82,12 +79,8 @@ def accuracy_compressed(a: CompressedDoc, b: CompressedDoc) -> AccuracyResult:
     first = np.cumsum(common) - common  # of each row's entries in `entry`
     at_a = entry + np.repeat(a.offsets[:-1] - first, common)
     at_b = entry + np.repeat(b.offsets[:-1] - first, common)
-    mismatch = int(np.abs(a.runs[at_a] - b.runs[at_b]).sum())
-    # the longer row's tail meets zero-length runs: it adds its own sum
-    for doc in (a, b):
-        sums = np.concatenate(([0], np.cumsum(doc.runs)))
-        mismatch += int((sums[doc.offsets[1:]] - sums[doc.offsets[:-1] + common]).sum())
-    area = a.height * int(a.runs[a.offsets[0] : a.offsets[1]].sum())
+    area = a.height * a.width
+    mismatch = 2 * (area - int(np.minimum(a.runs[at_a], b.runs[at_b]).sum()))
     pct = max((1.0 - mismatch / area) * 100.0, 0.0)
     return AccuracyResult(percentage=pct, mode=COMPRESSED)
 

@@ -164,6 +164,35 @@ class TestCompressedDoc:
             with pytest.raises(ValidationError, match=message):
                 CompressedDoc.from_rows(rows)
 
+    def test_from_rows_rejects_a_run_past_64_bits(self):
+        with pytest.raises(ValidationError, match="^a run length does not fit in 64 bits$"):
+            CompressedDoc.from_rows([(2**64,)])
+
+    @pytest.mark.parametrize(
+        "width, height, rows, message",
+        [
+            (3.0, 1, [(3,)], "^width must be an integer, got 3.0$"),
+            (True, 1, [(1,)], "^width must be an integer, got True$"),
+            ("3", 1, [(3,)], "^width must be an integer, got '3'$"),
+            (3, 1.0, [(3,)], "^height must be an integer, got 1.0$"),
+            (3, False, [], "^height must be an integer, got False$"),
+        ],
+    )
+    def test_dimensions_must_be_integers(self, width, height, rows, message):
+        with pytest.raises(ValidationError, match=message):
+            CompressedDoc(width, height, rows)
+
+    def test_numpy_integer_dimensions_accepted(self):
+        doc = CompressedDoc(np.int64(3), np.int32(1), [(3,)])
+        assert doc == CompressedDoc(3, 1, [(3,)])
+
+    def test_repr_hash_and_equality(self):
+        doc = CompressedDoc(3, 2, [(0, 3), (1, 2)])
+        assert repr(doc) == "CompressedDoc(width=3, height=2, rows=((0, 3), (1, 2)))"
+        same = CompressedDoc.from_rows([(0, 3), (1, 2)])
+        assert doc == same and hash(doc) == hash(same)
+        assert doc != 1 and doc.__eq__(1) is NotImplemented
+
 
 class TestImageCodec:
     def test_single_pixel(self):
@@ -369,3 +398,23 @@ def test_runs_are_read_only():
                 array[0] = 1
         with pytest.raises(AttributeError):
             d.width = 3
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ([0, 1], "^grid must be a rectangular 2-D array of 0/1 pixels$"),
+        ([[[0, 1]]], "^grid must be a rectangular 2-D array of 0/1 pixels$"),
+        ([[]], "^grid must contain at least one pixel$"),
+    ],
+)
+def test_encode_image_rejects_grids_that_are_not_2d_or_empty(grid, message):
+    with pytest.raises(ValidationError, match=message):
+        encode_image(grid)
+
+
+def test_encode_image_rejects_a_side_past_max_dim():
+    # a broadcast view: one pixel in memory, 2**31 columns to the checks
+    grid = np.broadcast_to(np.zeros(1, dtype=bool), (1, 2**31))
+    with pytest.raises(ValidationError, match=f"^grid of 1 x {2**31} pixels exceeds {2**31 - 1} per side$"):
+        encode_image(grid)

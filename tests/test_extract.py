@@ -52,6 +52,10 @@ class TestLocateStart:
         with pytest.raises(ValidationError):
             locate_start((4, 4), 9)
 
+    def test_column_zero_rejected(self):
+        with pytest.raises(ValidationError, match="^start column must be >= 1, got 0$"):
+            locate_start((3,), 0)
+
 
 class TestLocateEnd:
     def test_worked_example(self):
@@ -66,6 +70,10 @@ class TestLocateEnd:
     def test_out_of_bounds(self):
         with pytest.raises(ValidationError):
             locate_end((4, 4), 9)
+
+    def test_column_zero_rejected(self):
+        with pytest.raises(ValidationError, match="^end column must be >= 1, got 0$"):
+            locate_end((3,), 0)
 
 
 def _enumerate_bounds(row, y1, y2):
@@ -387,6 +395,20 @@ def test_bad_spec_construction():
     coords = (2, 7, 3, 11)
     block = extract_block(doc, BlockSpec(*map(np.int64, coords)))
     assert block == extract_block(doc, BlockSpec(*coords))
+
+
+@pytest.mark.parametrize(
+    "coords, message",
+    [
+        ((0, 1, 1, 1), r"^x1 must be >= 1, got 0$"),
+        ((1, 1, 0, 1), r"^y1 must be >= 1, got 0$"),
+        ((2, 1, 1, 1), r"^x2 \(1\) is smaller than x1 \(2\)$"),
+        ((1, 1, 3, 2), r"^y2 \(2\) is smaller than y1 \(3\)$"),
+    ],
+)
+def test_bad_spec_messages(coords, message):
+    with pytest.raises(ValidationError, match=message):
+        BlockSpec(*coords)
 
 
 def test_page_scale_block_dims_are_inclusive():

@@ -280,6 +280,23 @@ def test_context_rejections(fields, message):
         FeatureContext(**{"mode": "absolute", "block_dims": (2, 4), **fields})
 
 
+@pytest.mark.parametrize(
+    "doc_dims, block_origin, message",
+    [
+        ((3.5, 4), (1, 1), r"^doc_dims\[0\] must be an integer, got 3.5$"),
+        (("3", 4), (1, 1), r"^doc_dims\[0\] must be an integer, got '3'$"),
+        ((3, 4), (1.5, 1), r"^block_origin\[0\] must be an integer, got 1.5$"),
+        ((3, 4), (1, True), r"^block_origin\[1\] must be an integer, got True$"),
+    ],
+)
+def test_context_takes_integer_dimensions_only(doc_dims, block_origin, message):
+    block = CompressedDoc.from_rows([(2,), (0, 2)])
+    with pytest.raises(ValidationError, match=message):
+        FeatureContext.relative(block, doc_dims=doc_dims, block_origin=block_origin)
+    with pytest.raises(ValidationError, match=r"^block_dims\[1\] must be an integer, got 2.0$"):
+        FeatureContext(mode="absolute", block_dims=(2, 2.0))
+
+
 @pytest.mark.parametrize("feature", [density, ceq, seq])
 def test_features_reject_a_context_of_other_dimensions(feature):
     block = CompressedDoc.from_rows([(4,)])

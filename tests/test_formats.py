@@ -166,6 +166,19 @@ class TestWritePbm:
         for line in write_pbm(grid, plain=True).decode().splitlines():
             assert len(line) <= 70
 
+    @pytest.mark.parametrize("width", [1, 31, 32, 33, 64, 65])
+    def test_plain_layout(self, width):
+        """32 digits per line, joined by spaces, and a row's last digit
+        ends its line, across the boundaries of the 32-digit lines."""
+        grid = random_grid(np.random.default_rng(width), 3, width)
+        lines = [
+            " ".join(str(d) for d in row[start : start + 32])
+            for row in grid.tolist()
+            for start in range(0, width, 32)
+        ]
+        expected = f"P1\n{width} 3\n" + "".join(line + "\n" for line in lines)
+        assert write_pbm(grid, plain=True) == expected.encode("ascii")
+
 
 class TestRle:
     def test_read_minimal(self):
@@ -356,3 +369,25 @@ def test_pipeline_pbm_rle_pbm_is_identity():
         doc = encode_image(read_pbm(pbm))
         doc2 = read_rle(write_rle(doc))
         assert write_pbm(decode_image(doc2)) == pbm
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"P1 3", "^truncated PBM header at byte 4$"),
+        (b"P1 3 x", "^unexpected byte b'x' at byte 5 in PBM header$"),
+    ],
+)
+def test_pbm_header_errors(data, message):
+    with pytest.raises(FormatError, match=message):
+        read_pbm(data)
+
+
+def test_p1_pixels_past_the_raster_rejected():
+    with pytest.raises(FormatError, match="^trailing pixels after P1 raster$"):
+        read_pbm(b"P1\n3 1\n1 1 0 1\n")
+
+
+def test_rle_header_without_final_newline():
+    # the dimension line ends at the end of the data
+    assert rle_header(b"RLC1\n3 2") == (3, 2)

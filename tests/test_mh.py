@@ -883,3 +883,24 @@ def test_mh_skew_pages_decode_to_their_documents():
     for name, doc in mh_skew.pages():
         data = mh_encode_image(doc, eol=True, byte_align=True)
         assert mh_decode_image(data, doc.width, doc.height, eol=True, byte_align=True) == doc, name
+
+
+@pytest.mark.parametrize(
+    "width, height, message",
+    [
+        (3.0, 1, "^width must be an integer, got 3.0$"),
+        (True, 1, "^width must be an integer, got True$"),
+        (3, 1.0, "^height must be an integer, got 1.0$"),
+        (3, "1", "^height must be an integer, got '1'$"),
+    ],
+)
+def test_decoders_take_integer_dimensions_only(width, height, message):
+    data = mh_encode_image(CompressedDoc(3, 1, [(3,)]), eol=False)
+    with pytest.raises(ValidationError, match=message):
+        mh_decode_image(data, width, height, eol=False)
+
+
+@pytest.mark.parametrize("width", [3.0, True, "3"])
+def test_row_decoder_takes_an_integer_width_only(width):
+    with pytest.raises(ValidationError, match=f"^width must be an integer, got {width!r}$"):
+        mh_decode_row(mh_encode_row((3,)), width)

@@ -56,6 +56,10 @@ class TestOracleCrop:
         crop[0, 0] = 1
         assert grid[0, 0] == 0
 
+    def test_one_dimensional_grid_rejected(self):
+        with pytest.raises(ValidationError, match="^pixel grid must be 2-D$"):
+            oracle_crop([0, 1], BlockSpec(1, 1, 1, 1))
+
 
 class TestAccuracyPixel:
     def test_equal_grids(self):
@@ -109,6 +113,11 @@ class TestAccuracyPixel:
         for grid in (np.zeros((0, 3), dtype=np.uint8), [[]]):
             with pytest.raises(ValidationError, match="at least one pixel"):
                 accuracy_pixel(grid, grid)
+
+    def test_grids_get_the_package_grid_check(self):
+        for a, b in (([0, 1], [0, 1]), ([[0, 1]], [[[0, 1]]]), ([[0, 1], [1]], [[0, 1], [1, 0]])):
+            with pytest.raises(ValidationError, match="rectangular"):
+                accuracy_pixel(a, b)
 
 
 class TestAccuracyCompressed:
@@ -222,6 +231,11 @@ class TestPixelFeatures:
         ctx = FeatureContext(mode="absolute", block_dims=(2, 2))
         with pytest.raises(ValidationError):
             pixel_features(np.zeros((3, 3)), ctx)
+
+    def test_one_dimensional_grid_rejected(self):
+        ctx = FeatureContext(mode="absolute", block_dims=(1, 2))
+        with pytest.raises(ValidationError, match="^pixel grid must be 2-D$"):
+            pixel_features([0, 1], ctx)
 
     def test_equals_the_row_by_row_oracle_on_criterion_5_grids(self):
         def grids():
