@@ -4,10 +4,11 @@ Commands: encode, decode, extract, characterize, evaluate, info. All block
 coordinates are 1-indexed and inclusive; x1/x2 select rows and y1/y2 select
 columns (note this differs from x-is-horizontal image conventions).
 
-Exit codes: 0 success, 2 usage or validation error, 3 parse or corruption
-error, 4 internal consistency failure. Diagnostics go to stderr; reports go
-to stdout and serialize deterministically (stable key order, no timestamps
-unless --timing is given).
+Exit codes: 0 success, 2 usage or validation error, or too little memory
+for the command, 3 parse or corruption error, 4 internal consistency
+failure. Diagnostics go to stderr; reports go to stdout and serialize
+deterministically (stable key order, no timestamps unless --timing is
+given).
 
 A command that prints returns its report fields and its text, and `main`
 prints them: the text, or under --json the fields as a JSON report with the
@@ -47,8 +48,9 @@ from .oracle import accuracy_compressed, accuracy_pixel
 
 REPORT_SCHEMA = "runblock-report/1"
 
-# exception -> exit code; OSError covers unreadable and unwritable paths
-EXIT_CODES = {ValidationError: 2, FormatError: 3, ConsistencyError: 4, OSError: 2}
+# exception -> exit code; OSError covers unreadable and unwritable paths, and
+# MemoryError a valid input whose command needs more memory than there is
+EXIT_CODES = {ValidationError: 2, FormatError: 3, ConsistencyError: 4, OSError: 2, MemoryError: 2}
 
 
 def _write(stream, text: str) -> None:
@@ -327,9 +329,13 @@ def main(argv=None) -> int:
             if text:  # a command with nothing to say leaves stdout alone
                 _write(sys.stdout, text)
     except tuple(EXIT_CODES) as exc:
+        message = str(exc)
+        if isinstance(exc, MemoryError):
+            # numpy's names the allocation that failed; a bare one says nothing
+            message = "the command needs more memory than is available" + (message and f" ({message})")
         # a diagnostic that cannot be written leaves the exit code as it is
         with contextlib.suppress(OSError):
-            _write(sys.stderr, f"runblock: error: {exc}\n")
+            _write(sys.stderr, f"runblock: error: {message}\n")
         return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
     return 0
 

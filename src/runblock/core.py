@@ -66,6 +66,19 @@ CHUNK_PIXELS = 1 << 18
 MAX_PIXELS = 1 << 28
 
 
+# Characters of input that a diagnostic echoes whole; longer input is echoed
+# by a prefix of this many characters and its length.
+ECHO_CHARS = 1000
+
+
+def _echo(text: str, show=repr) -> str:
+    """`show(text)`, for a diagnostic that echoes input, or beyond
+    ECHO_CHARS characters `show` of its first ECHO_CHARS and its length."""
+    if len(text) <= ECHO_CHARS:
+        return show(text)
+    return f"{show(text[:ECHO_CHARS])}... ({len(text)} characters)"
+
+
 def _check_pixels(width: int, height: int) -> None:
     """Reject a grid of more than MAX_PIXELS pixels, before it is allocated."""
     if width * height > MAX_PIXELS:
@@ -208,7 +221,7 @@ class CompressedDoc:
         if not _rows_valid(self.runs, self.offsets, self.width):
             for i, row in enumerate(self.rows, 1):
                 if not is_canonical(row):
-                    raise ValidationError(f"row {i} is not canonical: {list(row)}")
+                    raise ValidationError(f"row {i} is not canonical: {_echo(str(list(row)), str)}")
                 if sum(row) != self.width:
                     raise ValidationError(f"row {i} sums to {sum(row)}, expected width {self.width}")
 

@@ -20,12 +20,13 @@ sum, as arrays that the document caches; pixels are never expanded.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import CompressedDoc, _check_integers
+from .core import CompressedDoc, _check_integers, _echo
 from .errors import ConsistencyError, ValidationError
 from .extract import BlockSpec, extract_block
 
@@ -50,7 +51,8 @@ class FeatureContext:
 
     `block_dims` is (rows, columns) of the block itself. Relative mode
     additionally needs the source document's dimensions and the block's
-    origin (x1, y1) inside it, 1-indexed.
+    origin (x1, y1) inside it, 1-indexed. Each is a tuple of two integers,
+    and `log_base` a real number.
     """
 
     mode: str
@@ -63,7 +65,14 @@ class FeatureContext:
         if self.mode not in (ABSOLUTE, RELATIVE):
             raise ValidationError(f"unknown mode {self.mode!r}")
         for name in ("block_dims", "doc_dims", "block_origin"):
-            _check_integers(**{f"{name}[{i}]": v for i, v in enumerate(getattr(self, name) or ())})
+            pair = getattr(self, name)
+            if pair is None and name != "block_dims":
+                continue
+            if not isinstance(pair, tuple) or len(pair) != 2:
+                raise ValidationError(f"{name} must be a pair of integers, got {_echo(repr(pair), str)}")
+            _check_integers(**{f"{name}[{i}]": v for i, v in enumerate(pair)})
+        if isinstance(self.log_base, bool) or not isinstance(self.log_base, numbers.Real):
+            raise ValidationError(f"log_base must be a real number, got {self.log_base!r}")
         if self.block_dims[0] < 1 or self.block_dims[1] < 1:
             raise ValidationError(f"bad block dimensions {self.block_dims}")
         if not 0 < self.log_base < math.inf or self.log_base == 1.0:

@@ -24,7 +24,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .core import MAX_DIM, CompressedDoc, _check_pixels, _pixel_grid, _rows_valid, is_canonical
+from .core import MAX_DIM, CompressedDoc, _check_pixels, _echo, _pixel_grid, _rows_valid, is_canonical
 from .errors import ConsistencyError, FormatError
 
 RLC_MAGIC = "RLC1"
@@ -159,7 +159,7 @@ def _parse_rle_header(data: bytes) -> tuple[int, int, int]:
     end = data.find(b"\n")
     magic = data if end < 0 else data[:end]
     if magic != RLC_MAGIC.encode():
-        raise FormatError(f"not an RLC1 file (first line {_text(magic)!r})")
+        raise FormatError(f"not an RLC1 file (first line {_echo(_text(magic))})")
     if end < 0 or end == len(data) - 1:
         raise FormatError("missing RLC1 dimension line")
     start = end + 1
@@ -169,7 +169,7 @@ def _parse_rle_header(data: bytes) -> tuple[int, int, int]:
     line = data[start:end]
     dims = line.split(b" ")
     if len(dims) != 2 or not all(d.isdigit() for d in dims):
-        raise FormatError(f"bad RLC1 dimension line {_text(line)!r}")
+        raise FormatError(f"bad RLC1 dimension line {_echo(_text(line))}")
     return *_dimensions(dims, "RLC1"), end + 1
 
 
@@ -258,9 +258,11 @@ def _row_error(lines: list[bytes], first: int, width: int) -> NoReturn:
     first + 1, first + 2, ... of the file."""
     for number, raw in enumerate(lines, first + 1):
         line = raw.decode("ascii")
+        # only digit tokens between single spaces, checked without a list of
+        # the tokens, which a long row could not afford
+        if not raw.replace(b" ", b"").isdigit() or b"  " in b" " + raw + b" ":
+            raise FormatError(f"row {number}: non-numeric run token in {_echo(line)}")
         tokens = line.split(" ")
-        if any(not t.isdigit() for t in tokens):
-            raise FormatError(f"row {number}: non-numeric run token in {line!r}")
         try:
             # without zero padding, which counts against int()'s digit limit
             runs = tuple(int(t.lstrip("0") or "0") for t in tokens)
@@ -270,7 +272,7 @@ def _row_error(lines: list[bytes], first: int, width: int) -> NoReturn:
         if total != str(width):
             raise FormatError(f"row {number}: runs sum to {total}, expected width {width}")
         if not is_canonical(runs):
-            raise FormatError(f"row {number}: runs are not canonical: {line!r}")
+            raise FormatError(f"row {number}: runs are not canonical: {_echo(line)}")
     raise ConsistencyError("an RLC1 row failed a check that no row fails on its own")
 
 

@@ -32,6 +32,13 @@ it, and otherwise reads one run code by code, which also gives every
 diagnosis. `mh_encode_row` and `mh_decode_row` keep a '0'/'1' string
 interface over the same code.
 
+With end-of-line codes, both loops take the codes from one array scan of
+the windows, `_eol_starts`, and check the fill before each by one rule: the
+bits from where the fill starts to the first code at or after it are all
+zero exactly when the 11 bits where it starts are. The serial loop raises
+at a one among those 11 bits, and otherwise goes on after that first code,
+or raises if there is none.
+
 A stream with end-of-line codes and at least `LOCKSTEP_ROWS` rows is first
 decoded in lock step, every row at once. No two consecutive codewords hold
 eleven zeros in a row (a codeword starts with at most seven and ends with
@@ -43,12 +50,12 @@ would take, and so records what the serial loop records. Once fewer than
 on in the serial loop from its bit position, pixels read and color, and
 one stable sort by row puts every record in place. Array checks then
 confirm what the serial loop checks: exactly `height` end-of-line codes,
-each row ending at exactly its width outside a run, only zero fill before
-each end-of-line code, and the rule on trailing data, which the last row
-fails if it read past the end of the stream. If any check fails, or a row
-is stuck or past the stream when lock step hands it on, the serial loop
-decodes the whole stream and gives the diagnosis, so lock step has no
-error of its own. Streams without end-of-line codes stay on the serial
+each row ending at exactly its width outside a run, each row's code at or
+after the end of the row above with 11 zero bits there, and the rule on
+trailing data, which the last row fails if it read past the end of the
+stream. If any check fails, or a row is stuck or past the stream when lock
+step hands it on, the serial loop decodes the whole stream and gives the
+diagnosis, so lock step has no error of its own. Streams without end-of-line codes stay on the serial
 loop: a row's start is known only once the row above it is decoded.
 
 At the image level bits are packed into bytes MSB-first with two framing
@@ -414,19 +421,6 @@ def mh_encode_image(doc: CompressedDoc, *, eol: bool, byte_align: bool = False) 
     return b"".join(parts)
 
 
-def _expect_eol(win, nbits: int, pos: int, row_number: int) -> int:
-    """Consume optional zero fill plus one end-of-line code."""
-    p = pos
-    while p < nbits and not win[p]:
-        p += _PEEK
-    if p >= nbits:
-        raise FormatError(f"stream ended while seeking the end-of-line code of row {row_number}")
-    p += _PEEK - win[p].bit_length()  # the first one bit
-    if p - pos < len(EOL) - 1:
-        raise FormatError(f"missing end-of-line code before row {row_number} (bit {pos})")
-    return p + 1
-
-
 # Lock step decodes the rows of an EOL-framed stream side by side while at
 # least this many are open, and hands the rest to `_decode_row_at` where
 # they stand; a stream of fewer rows goes to the serial loop alone. An
@@ -440,6 +434,27 @@ LOCKSTEP_ROWS = 56
 
 # windows per slice of the end-of-line scan
 _SCAN = 1 << 16
+
+# A window shifted right by _FILL is its first 11 bits, the zeros of an
+# end-of-line code.
+_FILL = _PEEK - len(EOL) + 1
+
+
+def _eol_starts(bits: np.ndarray) -> np.ndarray:
+    """The bit positions, in order, where an end-of-line code starts, from
+    the windows `bits` of a stream.
+
+    Both decoder loops check the zero fill before a row's end-of-line code
+    by one rule. Let f be where the fill starts, and e the first code that
+    starts at or after f: the bits in [f, e) are all zero exactly when the
+    11 bits at f are. A one bit before f + 11 lies before e, because the
+    code at e has its one bit at e + 11 >= f + 11. And if the first one bit
+    after f is at p >= f + 11, a code ends there and starts at p - 11 >= f,
+    so e <= p - 11. So when the 11 bits at f are zero and no code starts at
+    or after f, no one bit follows f at all.
+    """
+    # in slices, so that the scan's scratch stays small next to the windows
+    return np.concatenate([np.flatnonzero((bits[i : i + _SCAN] >> 1) == 1) + i for i in range(0, len(bits), _SCAN)])
 
 
 def _decode_lockstep(win, nbits: int, width: int, height: int):
@@ -457,10 +472,7 @@ def _decode_lockstep(win, nbits: int, width: int, height: int):
     stream as the serial loop reads it.
     """
     bits = np.frombuffer(win, dtype=np.uint16)
-    # in slices, so that the scan's scratch stays small next to the windows
-    eols = np.concatenate(
-        [np.flatnonzero((bits[i : i + _SCAN] >> 1) == 1) + i for i in range(0, len(bits), _SCAN)]
-    )
+    eols = _eol_starts(bits)
     if len(eols) != height:
         return None
     table = _tables()[0]
@@ -515,16 +527,12 @@ def _decode_lockstep(win, nbits: int, width: int, height: int):
         keys.append(np.frombuffer(records, dtype=np.uint16))
     except (IndexError, FormatError):  # a row is stuck, or read past the stream
         return None
-    # only zero fill before each end-of-line code, checked 13 bits at a time
+    # only zero fill before each end-of-line code, by the rule of
+    # `_eol_starts`: `eols` holds every code, so row i's is the first at or
+    # after the end of row i - 1
     fill = np.concatenate(([0], row_end[:-1]))
-    gap = eols - fill
-    if (gap < 0).any():
+    if (eols < fill).any() or (bits.take(fill) >> _FILL).any():
         return None
-    while gap.size:
-        if (bits.take(fill) >> np.maximum(_PEEK - gap, 0)).any():
-            return None
-        fill, gap = fill + _PEEK, gap - _PEEK
-        fill, gap = fill[gap > 0], gap[gap > 0]
     last = int(row_end[-1])
     if not 0 <= nbits - last < 8 or win[last]:
         return None
@@ -561,9 +569,19 @@ def _decode_serial(win, nbits: int, width: int, height: int, eol: bool, byte_ali
     # grown row by row, so a stream that ends early costs no more than it holds
     records = array("H")
     row_ends = [0]
+    if eol:
+        eols = _eol_starts(np.frombuffer(win, dtype=np.uint16))
+        k = 0  # the first code that may end the next row's fill
     for number in range(1, height + 1):
         if eol:
-            pos = _expect_eol(win, nbits, pos, number)
+            # zero fill and an end-of-line code, by the rule of `_eol_starts`
+            if win[pos] >> _FILL:
+                raise FormatError(f"missing end-of-line code before row {number} (bit {pos})")
+            while k < eols.size and eols[k] < pos:
+                k += 1
+            if k == eols.size:
+                raise FormatError(f"stream ended while seeking the end-of-line code of row {number}")
+            pos = int(eols[k]) + len(EOL)
         elif byte_align and pos % 8:
             fill = 8 - pos % 8
             if win[pos] >> (_PEEK - fill):

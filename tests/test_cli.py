@@ -596,6 +596,23 @@ def test_unwritable_stderr_keeps_the_exit_code(tmp_path, capsys, monkeypatch, st
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (MemoryError(), "the command needs more memory than is available"),
+        (MemoryError("Unable to allocate 256. MiB for an array with shape (268435456,) and data type uint8"),
+         "the command needs more memory than is available"
+         " (Unable to allocate 256. MiB for an array with shape (268435456,) and data type uint8)"),
+    ],
+)
+def test_memory_error_exits_2_with_one_line(worked_doc, capsys, monkeypatch, error, message):
+    def read_rle(data):
+        raise error
+
+    monkeypatch.setattr(cli, "read_rle", read_rle)
+    assert run(capsys, "info", worked_doc) == (2, "", f"runblock: error: {message}\n")
+
+
 RUN_MAIN = "import sys, runblock.cli; sys.exit(runblock.cli.main(sys.argv[1:]))"
 SRC = Path(__file__).resolve().parent.parent / "src"
 

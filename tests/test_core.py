@@ -33,6 +33,8 @@ from runblock import (
     write_rle,
 )
 
+from runblock.core import ECHO_CHARS
+
 from helpers import random_doc, random_grid, text_like_doc
 
 
@@ -287,6 +289,19 @@ def test_row_helpers_check_rows_as_the_constructor_does(name, row, error, messag
         warnings.simplefilter("error")
         with pytest.raises(error, match=message):
             ROW_HELPERS[name](row)
+
+
+@pytest.mark.parametrize("last, extra", [(10, 0), (100, 1), (1, 299_009)])
+def test_constructor_echoes_a_long_row_by_a_prefix(last, extra):
+    # the row's text is ECHO_CHARS characters with a last run of 10, and
+    # longer with more digits or more runs
+    row = (0, 0) + (1,) * (330 if extra < 2 else 100_000) + (last,)
+    text = str(list(row))
+    assert len(text) == ECHO_CHARS + extra
+    echo = text if not extra else f"{text[:ECHO_CHARS]}... ({len(text)} characters)"
+    with pytest.raises(ValidationError) as exc:
+        CompressedDoc(sum(row), 1, [row])
+    assert str(exc.value) == f"row 1 is not canonical: {echo}"
 
 
 def reference_is_canonical(runs):

@@ -297,6 +297,38 @@ def test_context_takes_integer_dimensions_only(doc_dims, block_origin, message):
         FeatureContext(mode="absolute", block_dims=(2, 2.0))
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(block_dims=(1, 1, 1)), r"^block_dims must be a pair of integers, got \(1, 1, 1\)$"),
+        (dict(block_dims=(2,)), r"^block_dims must be a pair of integers, got \(2,\)$"),
+        (dict(block_dims=5), r"^block_dims must be a pair of integers, got 5$"),
+        (dict(block_dims=None), r"^block_dims must be a pair of integers, got None$"),
+        (dict(block_dims="24"), r"^block_dims must be a pair of integers, got '24'$"),
+        (dict(block_dims=[2, 4]), r"^block_dims must be a pair of integers, got \[2, 4\]$"),
+        (dict(mode="relative", doc_dims=(3,), block_origin=(1, 1)), r"^doc_dims must be a pair of integers, got \(3,\)$"),
+        (dict(mode="relative", doc_dims=(3, 4, 5), block_origin=(1, 1)),
+         r"^doc_dims must be a pair of integers, got \(3, 4, 5\)$"),
+        (dict(mode="relative", doc_dims=(3, 4), block_origin=1), r"^block_origin must be a pair of integers, got 1$"),
+        (dict(doc_dims=(3,)), r"^doc_dims must be a pair of integers, got \(3,\)$"),
+        (dict(log_base="e"), r"^log_base must be a real number, got 'e'$"),
+        (dict(log_base=True), r"^log_base must be a real number, got True$"),
+        (dict(log_base=None), r"^log_base must be a real number, got None$"),
+        (dict(log_base=2j), r"^log_base must be a real number, got 2j$"),
+    ],
+)
+def test_context_takes_pairs_and_a_real_base(fields, message):
+    with pytest.raises(ValidationError, match=message):
+        FeatureContext(**{"mode": "absolute", "block_dims": (2, 4), **fields})
+
+
+@pytest.mark.parametrize("base", [2, np.float64(10.0), Fraction(3, 2)])
+def test_context_takes_any_real_base(base):
+    block = CompressedDoc.from_rows([(2, 2), (4,)])
+    ctx = FeatureContext(mode="absolute", block_dims=(2, 4), log_base=base)
+    assert ceq(block, ctx) == pytest.approx(ceq(block, FeatureContext.absolute(block, log_base=float(base))))
+
+
 @pytest.mark.parametrize("feature", [density, ceq, seq])
 def test_features_reject_a_context_of_other_dimensions(feature):
     block = CompressedDoc.from_rows([(4,)])

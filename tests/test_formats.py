@@ -15,6 +15,7 @@ from runblock import (
     write_pbm,
     write_rle,
 )
+from runblock.core import ECHO_CHARS
 from runblock.formats import pbm_header, rle_header
 
 from helpers import random_doc, random_grid, text_like_doc
@@ -307,6 +308,33 @@ def test_malformed_row_message(row, message):
         read_rle(data)
     assert str(exc.value) == message
     assert outcome(reference_read_rle, data) == f"FormatError: {message}"
+
+
+# Each echo of input in an RLC1 diagnostic: (the echoed line of n
+# characters, the file, the message before the echo).
+ECHOES = {
+    "first line": lambda n: ("RLC1" + "x" * (n - 4), "{}\n8 1\n8\n", "not an RLC1 file (first line {})"),
+    "dimension line": lambda n: ("8" * n, "RLC1\n{}\n8\n", "bad RLC1 dimension line {}"),
+    "non-numeric row": lambda n: (("1 " * n)[: n - 1] + "x", "RLC1\n8 1\n{}\n", "row 1: non-numeric run token in {}"),
+    # zero padding keeps the row's sum at its width
+    "non-canonical row": lambda n: ("0 0 " + "0" * (n - 5) + "5", "RLC1\n5 1\n{}\n", "row 1: runs are not canonical: {}"),
+}
+
+
+@pytest.mark.parametrize("extra", [0, 1, 2_000_000])
+@pytest.mark.parametrize("case", sorted(ECHOES))
+def test_rlc1_diagnostics_echo_long_lines_by_a_prefix(case, extra):
+    """A line of up to ECHO_CHARS characters is echoed whole, a longer one by
+    its first ECHO_CHARS characters and its length."""
+    line, layout, message = ECHOES[case](ECHO_CHARS + extra)
+    assert len(line) == ECHO_CHARS + extra
+    echo = repr(line) if not extra else f"{line[:ECHO_CHARS]!r}... ({len(line)} characters)"
+    data = layout.format(line).encode()
+    with pytest.raises(FormatError) as exc:
+        read_rle(data)
+    assert str(exc.value) == message.format(echo)
+    if not extra:
+        assert outcome(reference_read_rle, data) == f"FormatError: {message.format(echo)}"
 
 
 def test_first_bad_row_wins_across_checks_and_chunks():

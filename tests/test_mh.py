@@ -904,3 +904,64 @@ def test_decoders_take_integer_dimensions_only(width, height, message):
 def test_row_decoder_takes_an_integer_width_only(width):
     with pytest.raises(ValidationError, match=f"^width must be an integer, got {width!r}$"):
         mh_decode_row(mh_encode_row((3,)), width)
+
+
+class TestEndOfLineRule:
+    """The fill before a row's end-of-line code is zero bits up to the first
+    code at or after where it starts, which both loops check by the 11 bits
+    there. Each case goes to the reference, to each loop called directly and
+    to `mh_decode_image` with lock step down to one open row and as shipped."""
+
+    ROWS = [(20,), (5, 10, 5), (0, 20)]
+
+    def stream(self, row: int, fill: str, tail: str = "") -> tuple[bytes, int]:
+        """The EOL-framed stream of ROWS with `fill` before the end-of-line
+        code of row `row` and `tail` after the last row, and the bit where
+        that fill starts."""
+        bits = ""
+        for number, runs in enumerate(self.ROWS, 1):
+            if number == row:
+                start = len(bits)
+                bits += fill
+            bits += EOL + "".join(ref_row_codewords(runs))
+        return pack(bits + tail), start
+
+    def outcomes(self, data: bytes, height: int) -> list:
+        """The outcome of the serial loop, of lock step (None where it hands
+        the stream to the serial loop) and of the decoder at LOCKSTEP_ROWS 1
+        and as shipped."""
+        win, nbits = mh._windows(data), 8 * len(data)
+        try:
+            records, row_ends = mh._decode_serial(win, nbits, 20, height, True, False)
+            serial = (records.tolist(), row_ends)
+        except FormatError as exc:
+            serial = f"FormatError: {exc}"
+        with patch.object(mh, "LOCKSTEP_ROWS", 1):
+            lockstep = mh._decode_lockstep(win, nbits, 20, height)
+            patched = outcome(mh_decode_image, data, 20, height, True, False)
+        if lockstep is not None:
+            lockstep = (lockstep[0].tolist(), lockstep[1].tolist())
+        return [serial, lockstep, patched, outcome(mh_decode_image, data, 20, height, True, False)]
+
+    @pytest.mark.parametrize("row", [1, 2, 3])
+    def test_forty_zero_bits_of_fill_decode(self, row):
+        data, _ = self.stream(row, "0" * 40)
+        doc = ref_decode_image(data, 20, 3, eol=True)
+        assert doc.rows == tuple(self.ROWS)
+        serial, lockstep, patched, shipped = self.outcomes(data, 3)
+        assert lockstep == serial
+        assert patched == shipped == doc
+
+    @pytest.mark.parametrize("row", [1, 2, 3])
+    def test_a_one_at_offset_10_of_the_fill_is_a_missing_code(self, row):
+        data, start = self.stream(row, "0" * 10 + "1" + "0" * 29)
+        expected = f"FormatError: missing end-of-line code before row {row} (bit {start})"
+        assert outcome(ref_decode_image, data, 20, 3, True, False) == expected
+        assert self.outcomes(data, 3) == [expected, None, expected, expected]
+
+    @pytest.mark.parametrize("rows", [0, 3])
+    def test_zero_fill_to_the_end_of_the_stream(self, rows):
+        data = self.stream(1, "", "0" * 40)[0] if rows else bytes(5)
+        expected = f"FormatError: stream ended while seeking the end-of-line code of row {rows + 1}"
+        assert outcome(ref_decode_image, data, 20, rows + 1, True, False) == expected
+        assert self.outcomes(data, rows + 1) == [expected, None, expected, expected]
