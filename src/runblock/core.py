@@ -29,19 +29,26 @@ run row goes through it: `from_rows` and the public helpers that take one
 run row build their documents with it, and `canonicalize_row`, which takes
 non-canonical rows, reads its runs with `_flatten`. `read_rle` checks the
 text of each chunk of rows it parses and then the chunk's rows with
-`_rows_valid`. Both name the first bad row. `read_rle` and the internal producers whose rows are valid
-by construction (`encode_image`, `extract_block_detailed` and
-`mh_decode_image`) build documents with `CompressedDoc._trusted`, which
-skips the constructor's check. A pixel grid is checked once as well, by
-`_pixel_grid`, for `encode_image`, `formats.write_pbm` and
-`oracle.accuracy_pixel`, and so is an integer dimension or coordinate, by
-`_check_integers`, for `CompressedDoc`, `BlockSpec`, `FeatureContext` and
-the MH decoders.
+`_rows_valid`. Both name the first bad row. `read_rle` and the internal
+producers whose rows are valid by construction (`encode_image`,
+`extract_block_detailed` and `mh_decode_image`) build documents with
+`CompressedDoc._trusted`, which skips the constructor's check.
+
+Rows are made canonical in one place too: `_canonical` drops the zero runs
+of a whole CSR document and merges the runs they separated, as array code.
+`canonicalize_row` calls it on its one row, and the MH decoder on the rows
+it decoded whenever `_rows_valid` fails on them. A pixel grid is checked
+once as well, by `_pixel_grid`, for `encode_image`, `formats.write_pbm` and
+`oracle.accuracy_pixel`, and so is an integer, by the rule of `_integer`:
+a dimension or coordinate by `_check_integers`, for `CompressedDoc`,
+`BlockSpec`, `FeatureContext` and the MH decoders, and a run length by
+`_flatten`.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -85,37 +92,34 @@ def _check_pixels(width: int, height: int) -> None:
         raise ValidationError(f"{width} x {height} pixels exceed the pixel budget of {MAX_PIXELS}")
 
 
+def _integer(value) -> bool:
+    """The package's integer rule: a value with `__index__` other than a
+    bool. A float or a numeric string is not an integer."""
+    return hasattr(type(value), "__index__") and not isinstance(value, bool)
+
+
 def _check_integers(**values) -> None:
     """Raise a ValidationError for the first of `values` that is not an
-    integer: a bool, or a value without `__index__`, such as a float or a
-    numeric string."""
+    integer."""
     for name, value in values.items():
-        if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        if not _integer(value):
             raise ValidationError(f"{name} must be an integer, got {value!r}")
-
-
-def _is_integer(value) -> bool:
-    try:
-        return int(value) == value
-    except (TypeError, ValueError, OverflowError):
-        return False
 
 
 def _flatten(rows: Iterable[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     """(runs, offsets) of a sequence of run rows, whose run lengths must be
     integers that fit in 64 bits."""
     rows = [tuple(r) for r in rows]
-    flat = [r for row in rows for r in row]
+    flat = list(itertools.chain.from_iterable(rows))
+    if set(map(type, flat)) - {int}:  # not all plain ints: each by the rule
+        bad = [(i, r) for i, row in enumerate(rows, 1) for r in row if not _integer(r)]
+        if bad:
+            raise ValidationError(f"row {bad[0][0]} holds a run length that is not an integer: {bad[0][1]!r}")
+        flat = list(map(operator.index, flat))
     try:
         runs = np.array(flat, dtype=np.int64)
-        exact = runs.tolist() == flat  # no float truncated, no string parsed
-    except (TypeError, ValueError, OverflowError):
-        exact = False
-    if not exact:
-        bad = next(((i, r) for i, row in enumerate(rows, 1) for r in row if not _is_integer(r)), None)
-        if bad is None:
-            raise ValidationError("a run length does not fit in 64 bits")
-        raise ValidationError(f"row {bad[0]} holds a run length that is not an integer: {bad[1]!r}")
+    except OverflowError:
+        raise ValidationError("a run length does not fit in 64 bits") from None
     return runs, np.array([0, *itertools.accumulate(map(len, rows))], dtype=np.int64)
 
 
@@ -168,10 +172,31 @@ def canonicalize_row(runs: Sequence[int]) -> RunRow:
     runs = _flatten([runs])[0]
     if (runs < 0).any():
         raise FormatError(f"negative run length {runs[runs < 0][0]}")
-    colors = np.flatnonzero(runs) & 1
-    groups = np.flatnonzero(np.diff(colors, prepend=-1))  # first run of each color group
-    merged = np.add.reduceat(runs[runs > 0], groups) if groups.size else groups
-    return (0,) * int(colors[:1].sum()) + tuple(merged.tolist())
+    return tuple(_canonical(runs, np.array([0, runs.size]))[0].tolist())
+
+
+def _canonical(runs: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(runs, offsets) of the canonical rows with the pixels of the CSR rows
+    `runs` and `offsets`, whose runs are not negative.
+
+    Zero runs are dropped and the runs of one color that they separated
+    merged; a row whose first pixel is foreground then leads with a zero
+    run, and a row of no pixels is left empty."""
+    kept = runs.nonzero()[0]
+    # each row's first kept run, as an index of `kept`
+    firsts = np.searchsorted(kept, offsets)
+    # a kept run begins a merged run if it is its row's first, or if its
+    # index differs from the last kept one's by an odd number: a color change
+    begins = np.zeros(kept.size + 1, dtype=bool)
+    begins[firsts] = True
+    begins[1:-1] |= np.diff(kept) & 1 == 1
+    starts = begins[:-1].nonzero()[0]
+    merged = np.add.reduceat(runs[kept], starts)
+    # the merged runs before each row, and the rows whose first kept run is
+    # foreground: at an odd index within its row
+    before = np.searchsorted(starts, firsts)
+    lead = (firsts[:-1] < firsts[1:]) & ((np.append(kept, 0)[firsts[:-1]] - offsets[:-1]) & 1 == 1)
+    return np.insert(merged, before[:-1][lead], 0), before + np.concatenate(([0], np.cumsum(lead)))
 
 
 def _rows_valid(runs: np.ndarray, offsets: np.ndarray, width: int) -> bool:

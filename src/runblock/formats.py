@@ -195,6 +195,11 @@ _CHUNK_BYTES = 1 << 16
 def read_rle(data: bytes) -> CompressedDoc:
     """Parse RLC1 bytes into a CompressedDoc, validating every row.
 
+    A canonical row holds at most width + 1 runs. So in a body of more than
+    height × (width + 1) tokens, only the rows before the first row of more
+    than width + 1 tokens are read as arrays, and then that row fails: the
+    runs array follows the declared page, not the file.
+
     The rows are read in chunks of whole rows. Each chunk is first checked
     as text: only digits, single spaces and newlines. Every token then ends
     at a separator, and numpy adds up its digits, last digit first, into
@@ -218,11 +223,15 @@ def read_rle(data: bytes) -> CompressedDoc:
     if count != height:
         raise FormatError(f"got {count} run rows, expected {height}")
     # one token per separator, a space or a newline, the bytes below "0"
-    runs = np.empty(np.count_nonzero(np.frombuffer(data, dtype=np.uint8)[pos:] < ord("0")), dtype=np.int64)
+    size = np.count_nonzero(np.frombuffer(data, dtype=np.uint8)[pos:] < ord("0"))
+    end = len(data)  # where the rows read as arrays end
+    if size > height * (width + 1):
+        end, size = _before_long_row(data, pos, width)
+    runs = np.empty(size, dtype=np.int64)
     offsets = np.zeros(height + 1, dtype=np.int64)
     row = 0  # rows read so far
-    while pos < len(data):
-        stop = data.find(b"\n", min(pos + _CHUNK_BYTES, len(data) - 1))
+    while pos < end:
+        stop = data.find(b"\n", min(pos + _CHUNK_BYTES, end - 1))
         chunk = data[pos:stop]
         if chunk.translate(None, b"0123456789 \n") or not (chunk[:1].isdigit() and chunk[-1:].isdigit()):
             _row_error(chunk.split(b"\n"), row, width)
@@ -250,7 +259,34 @@ def read_rle(data: bytes) -> CompressedDoc:
             _row_error(chunk.split(b"\n"), row, width)
         offsets[row + 1 : row + 1 + row_ends.size] = first + row_ends
         row += row_ends.size
+    if end < len(data):  # the long row, the first bad row
+        _row_error([data[end : data.index(b"\n", end)]], row, width)
     return CompressedDoc._trusted(width, height, runs, offsets)
+
+
+def _before_long_row(data: bytes, pos: int, width: int) -> tuple[int, int]:
+    """Where the first row of the rows from byte `pos` of `data` on that
+    holds more tokens than width + 1 starts, and the tokens before it. One
+    token ends at each separator; the rows are counted as arrays, without a
+    Python object per token."""
+    chars = np.frombuffer(data, dtype=np.uint8, offset=pos)
+    newlines = np.flatnonzero(chars == ord("\n"))
+    # the separators up to each newline, counted a window of bytes at a
+    # time: a count per byte of the whole body would take 8 bytes per byte
+    through = np.empty(newlines.size, dtype=np.int64)
+    counted = 0
+    for start in range(0, chars.size, _CHUNK_BYTES):
+        window = np.cumsum(chars[start : start + _CHUNK_BYTES] < ord("0"))
+        inside = slice(*np.searchsorted(newlines, [start, start + _CHUNK_BYTES]))
+        through[inside] = counted + window[newlines[inside] - start]
+        counted += int(window[-1])
+    tokens = np.diff(through, prepend=0)
+    long = int(np.argmax(tokens > width + 1))
+    return pos + (int(newlines[long - 1]) + 1 if long else 0), int(through[long] - tokens[long])
+
+
+# A nonzero run token, without its zero padding.
+_NONZERO_RUN = re.compile(rb"[1-9][0-9]*")
 
 
 def _row_error(lines: list[bytes], first: int, width: int) -> NoReturn:
@@ -262,16 +298,17 @@ def _row_error(lines: list[bytes], first: int, width: int) -> NoReturn:
         # the tokens, which a long row could not afford
         if not raw.replace(b" ", b"").isdigit() or b"  " in b" " + raw + b" ":
             raise FormatError(f"row {number}: non-numeric run token in {_echo(line)}")
-        tokens = line.split(" ")
         try:
-            # without zero padding, which counts against int()'s digit limit
-            runs = tuple(int(t.lstrip("0") or "0") for t in tokens)
-            total = str(sum(runs))
+            # the nonzero runs one at a time, which a long row can afford,
+            # without the zero padding that counts against int()'s digit limit
+            total = str(sum(int(run[0]) for run in _NONZERO_RUN.finditer(raw)))
         except ValueError:  # past the digit limit of int() or str()
             total = f"a number of over {sys.get_int_max_str_digits()} digits"
         if total != str(width):
             raise FormatError(f"row {number}: runs sum to {total}, expected width {width}")
-        if not is_canonical(runs):
+        # a canonical row holds at most width + 1 runs; a row within that is
+        # checked as a tuple
+        if raw.count(b" ") > width or not is_canonical(tuple(int(t.lstrip("0") or "0") for t in line.split(" "))):
             raise FormatError(f"row {number}: runs are not canonical: {_echo(line)}")
     raise ConsistencyError("an RLC1 row failed a check that no row fails on its own")
 

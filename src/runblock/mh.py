@@ -26,7 +26,13 @@ alternating: on text rows, three or four codes at once. The codeword entry
 takes the window's first codeword alone, and a key whose window starts no
 codeword marks the row stuck. Each step of a row takes one entry and
 records the entry's index in the table; after the last row, one numpy
-gather turns the records into the document's runs. The serial loop decodes
+gather turns the records into the document's runs. A row may hold
+zero-length runs anywhere, as foreign encoders write them to split a long
+run; the decoder states no rule of its own for them. The gathered rows sum
+to the width by construction, so core's row check, `core._rows_valid`,
+fails on them only where such a zero run follows a row's first run, and
+then core's one canonicalizer, `core._canonical`, merges the runs of the
+whole page. The decoders return canonical rows. The serial loop decodes
 row by row. It takes the whole-code entry while the row stays open after
 it, and otherwise reads one run code by code, which also gives every
 diagnosis. `mh_encode_row` and `mh_decode_row` keep a '0'/'1' string
@@ -75,14 +81,13 @@ and premature stream ends all raise FormatError with a bit offset.
 from __future__ import annotations
 
 import functools
-import itertools
 from array import array
 from typing import Sequence
 
 import numpy as np
 
 from . import core
-from .core import MAX_DIM, CompressedDoc, RunRow, canonicalize_row
+from .core import MAX_DIM, CompressedDoc, RunRow
 from .errors import FormatError, ValidationError
 
 EOL = "000000000001"
@@ -348,10 +353,12 @@ def _decode_row_at(win, nbits: int, width: int, pos: int, records: array, total:
     return pos
 
 
-def _gather(records, row_ends) -> tuple[np.ndarray, np.ndarray]:
-    """(runs, offsets) of decoded rows, from their records and the number of
-    records at the end of each row. Rows with a zero run after their first
-    are canonicalized."""
+def _gather(records, row_ends, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(runs, offsets) of decoded rows of `width` pixels, from their records
+    and the number of records at the end of each row, as canonical rows.
+    The rows sum to the width by construction, so `core._rows_valid` fails
+    on them only where a zero run follows a row's first run, and then
+    `core._canonical` rewrites the rows."""
     table, _, slot_runs, _ = _tables()
     records = np.asarray(records, dtype=np.uint16)
     entry = table.take(records)
@@ -370,18 +377,9 @@ def _gather(records, row_ends) -> tuple[np.ndarray, np.ndarray]:
     ending = (code & _ENDS) != 0
     runs[ends[coded][ending] - 1] = np.diff(np.cumsum(code & _PIXELS)[ending], prepend=0)
     offsets = np.concatenate(([0], ends))[row_ends]
-    zeros = np.flatnonzero(runs == 0)
-    rows_of_zeros = np.searchsorted(offsets, zeros, side="right") - 1
-    split = rows_of_zeros[zeros != offsets[rows_of_zeros]]
-    if split.size:
-        # foreign encoders may split very long runs with zero-length
-        # terminators; normalizing keeps the background-first canonical form
-        rows = np.split(runs, offsets[1:-1])
-        for i in set(split.tolist()):
-            rows[i] = canonicalize_row(rows[i])
-        runs = np.concatenate(rows).astype(np.int64)
-        offsets = np.array([0, *itertools.accumulate(map(len, rows))], dtype=np.int64)
-    return runs, offsets
+    if core._rows_valid(runs, offsets, width):
+        return runs, offsets
+    return core._canonical(runs, offsets)
 
 
 def mh_encode_row(row: Sequence[int]) -> str:
@@ -400,7 +398,7 @@ def mh_decode_row(bits: str, width: int) -> RunRow:
     pos = _decode_row_at(_bit_string_windows(bits), len(bits), width, 0, records)
     if pos != len(bits):
         raise FormatError(f"{len(bits) - pos} unconsumed bits after the row")
-    return tuple(_gather(records, [0, len(records)])[0].tolist())
+    return tuple(_gather(records, [0, len(records)], width)[0].tolist())
 
 
 def mh_encode_image(doc: CompressedDoc, *, eol: bool, byte_align: bool = False) -> bytes:
@@ -560,7 +558,7 @@ def mh_decode_image(
     if decoded is None:
         decoded = _decode_serial(win, nbits, width, height, eol, byte_align)
     del win  # two bytes per bit of input, not needed to build the runs
-    return CompressedDoc._trusted(width, height, *_gather(*decoded))
+    return CompressedDoc._trusted(width, height, *_gather(*decoded, width))
 
 
 def _decode_serial(win, nbits: int, width: int, height: int, eol: bool, byte_align: bool):

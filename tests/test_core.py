@@ -33,7 +33,7 @@ from runblock import (
     write_rle,
 )
 
-from runblock.core import ECHO_CHARS
+from runblock.core import ECHO_CHARS, _canonical
 
 from helpers import random_doc, random_grid, text_like_doc
 
@@ -188,6 +188,14 @@ class TestCompressedDoc:
         doc = CompressedDoc(np.int64(3), np.int32(1), [(3,)])
         assert doc == CompressedDoc(3, 1, [(3,)])
 
+    def test_numpy_integer_run_lengths_accepted(self):
+        # integers by the rule of the dimensions, which a 64-bit run must fit
+        doc = CompressedDoc.from_rows([(np.int64(1), np.uint8(2)), (np.int32(3),)])
+        assert doc == CompressedDoc.from_rows([(1, 2), (3,)])
+        assert canonicalize_row((np.int16(2), 0, np.uint64(1))) == (3,)
+        with pytest.raises(ValidationError, match="^a run length does not fit in 64 bits$"):
+            CompressedDoc.from_rows([(np.uint64(2**64 - 1),)])
+
     def test_repr_hash_and_equality(self):
         doc = CompressedDoc(3, 2, [(0, 3), (1, 2)])
         assert repr(doc) == "CompressedDoc(width=3, height=2, rows=((0, 3), (1, 2)))"
@@ -267,7 +275,7 @@ BAD_ROW_CASES = [
     *(
         (name, row, ValidationError, "^row 1 holds a run length that is not an integer")
         for name in ROW_HELPERS
-        for row in [(1.5, 2.5), ("3", "4")]
+        for row in [(1.5, 2.5), ("3", "4"), (3.0,), (True, 2), (np.float64(2.0), 1)]
     ),
     *(
         (name, row, ValidationError, r"^row 1 is not canonical: \[" if sum(row) else "^width 0 out of range")
@@ -340,6 +348,8 @@ def check_outcome(check, *args):
     st.lists(st.lists(st.integers(-3, 9), max_size=6), min_size=1, max_size=6),
     st.integers(-1, 1),
 )
+# one row and one fewer in the height: the height is 0, out of range
+@example(width=3, rows=[[3]], extra_rows=-1)
 def test_constructor_messages_match_row_by_row_checks(width, rows, extra_rows):
     """The array checks raise the message of the first bad row, as the
     row-by-row checks do, or accept exactly what they accept."""
@@ -359,9 +369,40 @@ def test_constructor_rejects_run_lengths_that_are_not_integers(rows, data):
     row, instead of being truncated or parsed into a run length."""
     i = data.draw(st.integers(0, len(rows) - 1))
     j = data.draw(st.integers(0, len(rows[i]) - 1))
-    rows[i][j] = data.draw(st.sampled_from([1.5, -0.25, math.inf, math.nan, "1", "", "x", None]))
+    rows[i][j] = data.draw(
+        st.sampled_from([1.5, -0.25, math.inf, math.nan, "1", "", "x", None, 3.0, True, np.float64(2.0)])
+    )
     with pytest.raises(ValidationError, match=f"^row {i + 1} holds a run length that is not an integer: "):
         CompressedDoc(width=5, height=len(rows), rows=rows)
+
+
+def reference_canonical(rows):
+    """Each row canonical, run by run: a zero run is dropped, a run of the
+    color of the last kept run is added to it, and a row whose first kept
+    run is foreground leads with a zero run."""
+    out = []
+    for row in rows:
+        kept = []  # [color, length] of each kept run
+        for i, run in enumerate(row):
+            if run and kept and kept[-1][0] == i % 2:
+                kept[-1][1] += run
+            elif run:
+                kept.append([i % 2, run])
+        lead = [0] if kept and kept[0][0] else []
+        out.append(lead + [run for _, run in kept])
+    return out
+
+
+@given(st.lists(st.lists(st.sampled_from([0, 0, 0, 1, 2, 5, 64]), max_size=8), min_size=1, max_size=8))
+def test_canonical_matches_reference(rows):
+    """core's one canonicalizer, on a whole CSR document of rows that hold
+    zero runs anywhere, empty rows and rows of no pixels among them."""
+    runs = np.array([r for row in rows for r in row], dtype=np.int64)
+    offsets = np.array([0, *itertools.accumulate(map(len, rows))], dtype=np.int64)
+    got_runs, got_offsets = _canonical(runs, offsets)
+    got = [got_runs[a:b].tolist() for a, b in zip(got_offsets[:-1], got_offsets[1:])]
+    assert got == reference_canonical(rows)
+    assert got_offsets[0] == 0 and got_offsets[-1] == got_runs.size
 
 
 @given(st.lists(st.integers(-2, 6), max_size=8))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -275,6 +277,30 @@ class TestRle:
         for row in doc.rows:
             assert type(row) is tuple
             assert all(type(r) is int for r in row)
+
+    @pytest.mark.parametrize("rows, message", [
+        (b"L\n5\n5", "row 1: runs sum to 999998, expected width 5"),
+        (b"5\n2 3\nL", "row 3: runs sum to 999998, expected width 5"),
+        (b"5\n2 x\nL", "row 2: non-numeric run token in '2 x'"),
+        (b"5\n5\nZ", f"row 3: runs are not canonical: {('5' + ' 0' * 499 + ' ')!r}... (1999999 characters)"),
+    ], ids=["long first row", "long last row", "bad row before", "zero runs"])
+    def test_tokens_past_the_page_in_memory_of_the_page(self, rows, message):
+        """A 5 x 3 page holds at most 18 runs, and row L or Z holds a
+        million. The first bad row is named, and the reader's memory stays
+        within a few times the file's size: an int64 per token would take 4
+        times the file and an int64 count per byte 8 times, on top of the
+        copies of the row that its diagnosis reads."""
+        rows = rows.replace(b"L", b"0 0" + b" 1" * 999_998).replace(b"Z", b"5" + b" 0" * 999_999)
+        data = b"RLC1\n5 3\n" + rows + b"\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError) as exc:
+                read_rle(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == message
+        assert peak < 5 * len(data)
 
     def test_page_scale_read_matches_reference(self):
         doc = text_like_doc(np.random.default_rng(34), 700, 900)

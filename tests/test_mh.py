@@ -11,6 +11,7 @@ from runblock import (
     CompressedDoc,
     FormatError,
     ValidationError,
+    decode_image,
     encode_image,
     mh_decode_image,
     mh_decode_row,
@@ -531,6 +532,25 @@ class TestDecodeMatchesReference:
 
         monkeypatch.setattr(mh, "_decode_serial", serial)
         assert mh_decode_image(data, doc.width, doc.height, eol=True, byte_align=byte_align) == doc
+
+    @pytest.mark.parametrize("eol,byte_align", FRAMINGS, ids=FRAMING_IDS)
+    def test_page_of_zero_split_runs_decodes_canonical(self, letter_doc, eol, byte_align, monkeypatch):
+        # a foreign encoder's page: a zero-length code of each color after
+        # the first run of every row of two runs or more
+        page = decode_image(letter_doc)
+        rows = [row[:1] + (0, 0) + row[1:] if len(row) > 1 else row for row in letter_doc.rows]
+        codewords = [[c for i, run in enumerate(row) for c in ref_codewords(run, i % 2 == 0)] for row in rows]
+        data = pack("".join(ref_frame(codewords, eol, byte_align)))
+        if eol:  # in lock step, which falls back on nothing valid
+
+            def serial(*args):
+                raise AssertionError("a valid EOL-framed page fell back to the serial loop")
+
+            monkeypatch.setattr(mh, "_decode_serial", serial)
+        for open_rows in (mh.LOCKSTEP_ROWS, 1):
+            monkeypatch.setattr(mh, "LOCKSTEP_ROWS", open_rows)
+            got = mh_decode_image(data, letter_doc.width, letter_doc.height, eol=eol, byte_align=byte_align)
+            assert got == encode_image(page)
 
     def test_letter_page_matches_reference(self, letter_doc):
         doc = letter_doc

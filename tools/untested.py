@@ -7,8 +7,10 @@ Usage, from the root of a checkout:
 Runs the test suite (tier-1 by default) in this process under
 `sys.settrace` and `threading.settrace`, tracing only the frames of modules
 under `src/runblock`, and then prints every line inside a function that no
-test executed, as `path:line: source`. It needs only the standard library
-and pytest. Tracing makes the suite about two and a half times slower.
+test executed, as `path:line: source`. Hypothesis runs with seed 0, so
+that the property tests draw the same examples and two runs list the same
+lines. It needs only the standard library, pytest and Hypothesis. Tracing
+makes the suite about two and a half times slower.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ def main(argv: list[str]) -> int:
     import pytest
 
     tracer = Tracer(PACKAGE)
-    status = tracer.run(pytest.main, ["-q", "-p", "no:cacheprovider", *argv])
+    status = tracer.run(pytest.main, ["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", *argv])
     for path in sorted(PACKAGE.rglob("*.py")):
         for line, text in untested(path, tracer.executed.get(str(path), set())):
             print(f"{path.relative_to(ROOT)}:{line}: {text}")
