@@ -153,12 +153,16 @@ def decode_row(runs: Sequence[int], width: int) -> list[int]:
     """Expand a run row back into a list of 0/1 pixels of length `width`.
 
     The row may be non-canonical: it is canonicalized first, which rejects
-    a negative run with a `FormatError`, and must then sum to `width`, which
-    must be at least 1."""
-    row = canonicalize_row(runs)
-    if sum(row) != width:
-        raise FormatError(f"row sums to {sum(row)}, expected width {width}")
-    return decode_image(CompressedDoc.from_rows([row]))[0].tolist()
+    a negative run with a `FormatError`, and is then checked as
+    `CompressedDoc` checks a row. `width` must be an integer of at least 1,
+    and the row must sum to it."""
+    _check_integers(width=width)
+    doc = CompressedDoc.from_rows([canonicalize_row(runs)])
+    if width < 1:
+        raise ValidationError(f"bad width {width}")
+    if doc.width != width:
+        raise FormatError(f"row sums to {doc.width}, expected width {width}")
+    return decode_image(doc)[0].tolist()
 
 
 def canonicalize_row(runs: Sequence[int]) -> RunRow:

@@ -169,6 +169,7 @@ def _records(starts, p1, r1, p2, r2) -> list[BoundaryRecord]:
 def _locate(row: Sequence[int], column: int, which: str) -> BoundaryRecord:
     """The boundary record of a one-row block that starts and ends at
     `column`, from the same search as extraction's."""
+    _check_integers(**{f"{which} column": column})
     if column < 1:
         raise ValidationError(f"{which} column must be >= 1, got {column}")
     doc = CompressedDoc.from_rows([row])
@@ -214,16 +215,20 @@ def trim_row(row: Sequence[int], rec: BoundaryRecord, width: int | None = None) 
     end_residue pixels. A zero-length background run is prepended when the
     start run is foreground so the output stays background-first.
 
-    `row` is checked as `CompressedDoc` checks a row. The output is then
-    canonical by construction: the first and last runs are at least 1 by the
-    residue checks, the interior runs are copied from the row, and the
-    leading zero appears exactly when p1 is even.
+    `row` is checked as `CompressedDoc` checks a row, and the record's four
+    values and `width` as integers. The output is then canonical by
+    construction: the first and last runs are at least 1 by the residue
+    checks, the interior runs are copied from the row, and the leading zero
+    appears exactly when p1 is even.
 
     `width`, when given, is the expected block width; a mismatch means the
     record does not belong to this row.
     """
     runs = CompressedDoc.from_rows([row]).runs
-    p1, r1, p2, r2 = rec.start_run, rec.start_residue, rec.end_run, rec.end_residue
+    p1, r1, p2, r2 = rec
+    _check_integers(start_run=p1, start_residue=r1, end_run=p2, end_residue=r2)
+    if width is not None:
+        _check_integers(width=width)
     if not 1 <= p1 <= p2 <= len(row):
         raise ConsistencyError(f"boundary runs ({p1}, {p2}) out of range for {len(row)} runs")
     if not 1 <= r1 <= row[p1 - 1]:

@@ -195,21 +195,20 @@ _CHUNK_BYTES = 1 << 16
 def read_rle(data: bytes) -> CompressedDoc:
     """Parse RLC1 bytes into a CompressedDoc, validating every row.
 
-    A canonical row holds at most width + 1 runs. So in a body of more than
-    height × (width + 1) tokens, only the rows before the first row of more
-    than width + 1 tokens are read as arrays, and then that row fails: the
-    runs array follows the declared page, not the file.
-
     The rows are read in chunks of whole rows. Each chunk is first checked
-    as text: only digits, single spaces and newlines. Every token then ends
-    at a separator, and numpy adds up its digits, last digit first, into
-    the preallocated runs array. A token with more than ten significant
-    digits, more than any width has, is marked as above the width. The
-    chunk is checked as a whole: no empty token, and then the row rule of
-    `CompressedDoc`, from `core._rows_valid`: no run above the width, every
-    row summing to the width, and no zero run past the first of its row. A
-    failed check is reported for the first bad row by `_row_error`, with the
-    row's number.
+    as text: only digits, spaces and newlines. One token ends at each
+    separator, and a canonical row holds at most width + 1 tokens, so the
+    runs array holds at most height × (width + 1): it follows the declared
+    page, not the file. A chunk whose tokens would overflow it holds a row
+    of more tokens than that, since every row before the chunk has passed,
+    and is diagnosed before it is tokenized. Otherwise numpy adds up each
+    token's digits, last digit first, into the runs array. A token with
+    more than ten significant digits, more than any width has, is marked as
+    above the width. The chunk is checked as a whole: no empty token, and
+    then the row rule of `CompressedDoc`, from `core._rows_valid`: no run
+    above the width, every row summing to the width, and no zero run past
+    the first of its row. A failed check is reported for the first bad row
+    by `_row_error`, with the row's number.
     """
     if not data.isascii():
         try:
@@ -224,22 +223,20 @@ def read_rle(data: bytes) -> CompressedDoc:
         raise FormatError(f"got {count} run rows, expected {height}")
     # one token per separator, a space or a newline, the bytes below "0"
     size = np.count_nonzero(np.frombuffer(data, dtype=np.uint8)[pos:] < ord("0"))
-    end = len(data)  # where the rows read as arrays end
-    if size > height * (width + 1):
-        end, size = _before_long_row(data, pos, width)
-    runs = np.empty(size, dtype=np.int64)
+    runs = np.empty(min(size, height * (width + 1)), dtype=np.int64)
     offsets = np.zeros(height + 1, dtype=np.int64)
     row = 0  # rows read so far
-    while pos < end:
-        stop = data.find(b"\n", min(pos + _CHUNK_BYTES, end - 1))
-        chunk = data[pos:stop]
-        if chunk.translate(None, b"0123456789 \n") or not (chunk[:1].isdigit() and chunk[-1:].isdigit()):
-            _row_error(chunk.split(b"\n"), row, width)
+    while pos < len(data):
+        stop = data.find(b"\n", min(pos + _CHUNK_BYTES, len(data) - 1))
         chars = np.frombuffer(data, dtype=np.uint8, count=stop + 1 - pos, offset=pos)
-        pos = stop + 1
+        first = offsets[row]
+        # a byte that is not a digit or separator, or more tokens than the
+        # runs array has room for, means a bad row; the separators' mask is
+        # made again below, so that none is held while a long row is read
+        if data[pos:stop].translate(None, b"0123456789 \n") or first + np.count_nonzero(chars < ord("0")) > runs.size:
+            _row_error(data, pos, stop, row, width)
         ends = (chars < ord("0")).nonzero()[0]  # the separator after each token
         lengths = np.diff(ends, prepend=-1) - 1
-        first = offsets[row]
         tokens = runs[first : first + ends.size]
         tokens[:] = chars[ends - 1] - ord("0")
         place = 10
@@ -256,48 +253,30 @@ def read_rle(data: bytes) -> CompressedDoc:
             tokens[long[high > 0]] = width + 1
         row_ends = (chars[ends] == ord("\n")).nonzero()[0] + 1
         if not lengths.min() or not _rows_valid(tokens, np.concatenate(([0], row_ends)), width):
-            _row_error(chunk.split(b"\n"), row, width)
+            _row_error(data, pos, stop, row, width)
         offsets[row + 1 : row + 1 + row_ends.size] = first + row_ends
         row += row_ends.size
-    if end < len(data):  # the long row, the first bad row
-        _row_error([data[end : data.index(b"\n", end)]], row, width)
+        pos = stop + 1
     return CompressedDoc._trusted(width, height, runs, offsets)
-
-
-def _before_long_row(data: bytes, pos: int, width: int) -> tuple[int, int]:
-    """Where the first row of the rows from byte `pos` of `data` on that
-    holds more tokens than width + 1 starts, and the tokens before it. One
-    token ends at each separator; the rows are counted as arrays, without a
-    Python object per token."""
-    chars = np.frombuffer(data, dtype=np.uint8, offset=pos)
-    newlines = np.flatnonzero(chars == ord("\n"))
-    # the separators up to each newline, counted a window of bytes at a
-    # time: a count per byte of the whole body would take 8 bytes per byte
-    through = np.empty(newlines.size, dtype=np.int64)
-    counted = 0
-    for start in range(0, chars.size, _CHUNK_BYTES):
-        window = np.cumsum(chars[start : start + _CHUNK_BYTES] < ord("0"))
-        inside = slice(*np.searchsorted(newlines, [start, start + _CHUNK_BYTES]))
-        through[inside] = counted + window[newlines[inside] - start]
-        counted += int(window[-1])
-    tokens = np.diff(through, prepend=0)
-    long = int(np.argmax(tokens > width + 1))
-    return pos + (int(newlines[long - 1]) + 1 if long else 0), int(through[long] - tokens[long])
 
 
 # A nonzero run token, without its zero padding.
 _NONZERO_RUN = re.compile(rb"[1-9][0-9]*")
 
 
-def _row_error(lines: list[bytes], first: int, width: int) -> NoReturn:
-    """Raise the error of the first bad row among `lines`, which are rows
-    first + 1, first + 2, ... of the file."""
-    for number, raw in enumerate(lines, first + 1):
-        line = raw.decode("ascii")
+def _row_error(data: bytes, pos: int, stop: int, first: int, width: int) -> NoReturn:
+    """Raise the error of the first bad row among the rows of `data` from
+    byte `pos` through the newline at byte `stop`, which are rows first + 1,
+    first + 2, ... of the file. The rows are read one at a time."""
+    number = first
+    while pos <= stop:
+        end = data.index(b"\n", pos)
+        raw = data[pos:end]
+        number, pos = number + 1, end + 1
         # only digit tokens between single spaces, checked without a list of
         # the tokens, which a long row could not afford
-        if not raw.replace(b" ", b"").isdigit() or b"  " in b" " + raw + b" ":
-            raise FormatError(f"row {number}: non-numeric run token in {_echo(line)}")
+        if not raw.replace(b" ", b"").isdigit() or b"  " in raw or raw[:1] == b" " or raw[-1:] == b" ":
+            raise FormatError(f"row {number}: non-numeric run token in {_echo(_text(raw))}")
         try:
             # the nonzero runs one at a time, which a long row can afford,
             # without the zero padding that counts against int()'s digit limit
@@ -308,8 +287,8 @@ def _row_error(lines: list[bytes], first: int, width: int) -> NoReturn:
             raise FormatError(f"row {number}: runs sum to {total}, expected width {width}")
         # a canonical row holds at most width + 1 runs; a row within that is
         # checked as a tuple
-        if raw.count(b" ") > width or not is_canonical(tuple(int(t.lstrip("0") or "0") for t in line.split(" "))):
-            raise FormatError(f"row {number}: runs are not canonical: {_echo(line)}")
+        if raw.count(b" ") > width or not is_canonical(tuple(int(t.lstrip(b"0") or b"0") for t in raw.split(b" "))):
+            raise FormatError(f"row {number}: runs are not canonical: {_echo(_text(raw))}")
     raise ConsistencyError("an RLC1 row failed a check that no row fails on its own")
 
 

@@ -72,6 +72,20 @@ class TestDecodeRow:
         with pytest.raises(FormatError):
             decode_row((-1, 9), 8)
 
+    @pytest.mark.parametrize(
+        "width, message",
+        [
+            (2.0, "^width must be an integer, got 2.0$"),
+            (True, "^width must be an integer, got True$"),
+            ("2", "^width must be an integer, got '2'$"),
+            (0, "^bad width 0$"),
+            (-3, "^bad width -3$"),
+        ],
+    )
+    def test_width_must_be_a_positive_integer(self, width, message):
+        with pytest.raises(ValidationError, match=message):
+            decode_row((3,), width)
+
 
 def test_round_trip_exhaustive_small_widths():
     for width in range(1, 13):

@@ -398,6 +398,24 @@ def test_bad_spec_construction():
 
 
 @pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: locate_start((2, 3), 1.5), r"^start column must be an integer, got 1.5$"),
+        (lambda: locate_start((2, 3), True), r"^start column must be an integer, got True$"),
+        (lambda: locate_end((2, 3), 4.0), r"^end column must be an integer, got 4.0$"),
+        (lambda: locate_end((2, 3), "4"), r"^end column must be an integer, got '4'$"),
+        (lambda: trim_row((2, 3), BoundaryRecord(1.0, 2, 2, 1)), r"^start_run must be an integer, got 1.0$"),
+        (lambda: trim_row((2, 3), (1, 2, 2, False)), r"^end_residue must be an integer, got False$"),
+        (lambda: trim_row((2, 3), BoundaryRecord(1, 2, 2, 1), 3.0), r"^width must be an integer, got 3.0$"),
+    ],
+    ids=["start float", "start bool", "end float", "end str", "record float", "record bool", "trim width"],
+)
+def test_locate_and_trim_take_integers_only(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
     "coords, message",
     [
         ((0, 1, 1, 1), r"^x1 must be >= 1, got 0$"),

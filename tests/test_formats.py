@@ -283,15 +283,21 @@ class TestRle:
         (b"5\n2 3\nL", "row 3: runs sum to 999998, expected width 5"),
         (b"5\n2 x\nL", "row 2: non-numeric run token in '2 x'"),
         (b"5\n5\nZ", f"row 3: runs are not canonical: {('5' + ' 0' * 499 + ' ')!r}... (1999999 characters)"),
-    ], ids=["long first row", "long last row", "bad row before", "zero runs"])
+        (b"5\n" * 40_000 + b"L", "row 40001: runs sum to 999998, expected width 5"),
+        (b"5\n" * 10 + b"0 0" + b" 1" * 29_998 + b"\n5" * 10, "row 11: runs sum to 29998, expected width 5"),
+    ], ids=["long first row", "long last row", "bad row before", "zero runs", "long row after chunks",
+            "long row inside a chunk"])
     def test_tokens_past_the_page_in_memory_of_the_page(self, rows, message):
-        """A 5 x 3 page holds at most 18 runs, and row L or Z holds a
-        million. The first bad row is named, and the reader's memory stays
-        within a few times the file's size: an int64 per token would take 4
-        times the file and an int64 count per byte 8 times, on top of the
-        copies of the row that its diagnosis reads."""
+        """A 5 x n page holds at most 6n runs, and row L or Z holds a
+        million, past the page after 40,000 rows of 80,000 bytes too. The
+        last case's long row is 60,000 bytes with 10 rows on either side,
+        all in one chunk of the reader. The first bad row is named, and the
+        reader's memory stays within a few times the file's size: an int64
+        per token would take 4 times the file and an int64 count per byte 8
+        times, on top of the copies of the row that its diagnosis reads."""
+        height = rows.count(b"\n") + 1
         rows = rows.replace(b"L", b"0 0" + b" 1" * 999_998).replace(b"Z", b"5" + b" 0" * 999_999)
-        data = b"RLC1\n5 3\n" + rows + b"\n"
+        data = b"RLC1\n5 %d\n" % height + rows + b"\n"
         tracemalloc.start()
         try:
             with pytest.raises(FormatError) as exc:
